@@ -10,6 +10,8 @@ API.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
+from operator import getitem
 
 HEADS = "H"
 TAILS = "T"
@@ -18,6 +20,26 @@ PAIRS = ("HH", "HT", "TH", "TT")
 
 # Running scores [S_1, ..., S_n]; see score_series.
 ScoreSeries = list[int]
+
+_TEXT_TO_DIGITS = str.maketrans(HEADS + TAILS, "10")
+_DIGITS_TO_TEXT = str.maketrans("10", HEADS + TAILS)
+
+
+def _byte_steps(carry: int, byte: int) -> tuple[int, ...]:
+    """Score steps S_k - S_{k-1} at the 8 flips of one byte, LSB first,
+    given the flip before the byte (carry)."""
+    steps = []
+    prev = carry
+    for j in range(8):
+        cur = (byte >> j) & 1
+        steps.append(1 - 2 * cur if prev else 0)
+        prev = cur
+    return tuple(steps)
+
+
+# _BYTE_STEPS[carry][byte]: see score_series
+_BYTE_STEPS = tuple(tuple(_byte_steps(c, b) for b in range(256)) for c in (0, 1))
+_TOP_BIT = bytes(b >> 7 for b in range(256))
 
 
 class ParseError(ValueError):
@@ -46,9 +68,7 @@ class FlipSequence:
         return self.length
 
     def __str__(self) -> str:
-        return "".join(
-            HEADS if (self.bits >> i) & 1 else TAILS for i in range(self.length)
-        )
+        return _digits(self).translate(_DIGITS_TO_TEXT)
 
     def __repr__(self) -> str:
         return f"FlipSequence({str(self)!r})"
@@ -70,6 +90,13 @@ class FlipSequence:
         return FlipSequence((self.bits >> (start - 1)) & ((1 << width) - 1), width)
 
 
+def _digits(seq: FlipSequence) -> str:
+    """The flips as "1"/"0" digits, flip 1 first."""
+    # a sentinel bit above the last flip keeps leading tails, then bin()
+    # is read backwards down to (not including) the sentinel
+    return bin(seq.bits | 1 << seq.length)[:2:-1]
+
+
 def parse_sequence(text: str) -> FlipSequence:
     """Parse a string of H/T characters.
 
@@ -78,25 +105,21 @@ def parse_sequence(text: str) -> FlipSequence:
     """
     if not text:
         raise ParseError("empty sequence")
-    bits = 0
-    for i, ch in enumerate(text):
-        if ch == HEADS:
-            bits |= 1 << i
-        elif ch != TAILS:
-            raise ParseError(f"invalid character {ch!r} at position {i + 1}")
-    return FlipSequence(bits, len(text))
+    # validate first: int() would also accept "_", whitespace, signs and
+    # non-ASCII digits
+    rest = text.lstrip(HEADS + TAILS)
+    if rest:
+        pos = len(text) - len(rest) + 1
+        raise ParseError(f"invalid character {rest[0]!r} at position {pos}")
+    return FlipSequence(int(text[::-1].translate(_TEXT_TO_DIGITS), 2), len(text))
 
 
 def reverse(seq: FlipSequence) -> FlipSequence:
     """The same flips read right to left."""
     if seq.length == 0:
         raise ValueError("cannot reverse an empty sequence")
-    bits = seq.bits
-    rev = 0
-    for _ in range(seq.length):
-        rev = (rev << 1) | (bits & 1)
-        bits >>= 1
-    return FlipSequence(rev, seq.length)
+    # read flip 1 first as the most significant digit: it becomes flip n
+    return FlipSequence(int(_digits(seq), 2), seq.length)
 
 
 def _pair_mask(seq: FlipSequence, pattern: str) -> int:
@@ -147,17 +170,13 @@ def score_series(seq: FlipSequence) -> ScoreSeries:
     """
     if seq.length == 0:
         raise ValueError("empty sequence has no score series")
-    series = [0]
-    s = 0
-    bits = seq.bits
-    prev = bits & 1
-    for _ in range(seq.length - 1):
-        bits >>= 1
-        cur = bits & 1
-        if prev:
-            s += 1 - 2 * cur
-        prev = cur
-        series.append(s)
+    data = seq.bits.to_bytes((seq.length + 7) // 8, "little")
+    # the flip before byte i is the top bit of byte i-1; flip 1 has none,
+    # so its step is 0 and the series starts at S_1 = 0
+    carries = (b"\0" + data[:-1]).translate(_TOP_BIT)
+    steps = map(getitem, map(_BYTE_STEPS.__getitem__, carries), data)
+    series = list(accumulate(chain.from_iterable(steps)))
+    del series[seq.length :]
     return series
 
 

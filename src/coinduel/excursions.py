@@ -21,6 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .core import FlipSequence, reverse
+from .montecarlo import _substream
 
 EXCURSION_ENUM_CAP = 24
 
@@ -398,63 +399,41 @@ class CoupledDiffEstimate:
     stderr: float
 
 
-def _coupled_trial(pool: int, n: int) -> int:
-    """One sampled renewal stream, consuming fair bits from pool (LSB first).
+# States of one trial in the lock-step pass of coupled_diff_mc.  Codes from
+# _A_PART on are an open A-part: _A_PART + 2 * (depth - 1) + last flip, where
+# depth = -(window score) >= 1.
+_SEEK, _HEAD, _PAD, _A_PART = 0, 1, 2, 3
 
-    Returns 1 iff position n lands inside the coupled B-window but past its
-    A-part -- the event whose probability is exactly twice pB - pA.  The
-    flip after each renewal head is pinned to H by the coupling, so it
-    consumes no randomness; at most n bits are ever drawn.
+
+def _coupled_automaton(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Transition table (indexed by 2 * code + flip) and draw flags per code.
+
+    _SEEK waits for the first head.  _HEAD is the flip after a renewal head,
+    pinned to H by the coupling: it draws nothing and opens the A-part at
+    window score -1.  The A-part runs until its score returns to zero, then
+    _PAD reads the tail padding until the closing head, which is the next
+    renewal head.  A trial hits iff it ends position n in _PAD: n lies past
+    the A-part of the coupled window but before its closing head.
     """
-    pos = 0
-    head = False
-    while pos < n:
-        pos += 1
-        head = pool & 1 == 1
-        pool >>= 1
-        if head:
-            break
-    if not head or pos >= n:
-        return 0  # n inside the initial tailrun or at its closing head
-    e = pos
-    while True:
-        # A-part: pinned head at e+1, window score starts at -1
-        pos = e + 1
-        if pos == n:
-            return 0
-        s = -1
-        prev = 1
-        while True:
-            pos += 1
-            cur = pool & 1
-            pool >>= 1
-            if prev:
-                s += 1 - 2 * cur
-            prev = cur
-            if s == 0:
-                break  # A-part closed at pos
-            if pos == n:
-                return 0  # n interior to the A-part
-        if pos == n:
-            return 1  # n at the A-part endpoint: first position of the event
-        # tail padding up to the closing head; the event holds strictly before it
-        while True:
-            pos += 1
-            cur = pool & 1
-            pool >>= 1
-            if pos == n:
-                return 0 if cur else 1
-            if cur:
-                e = pos  # closing head = next renewal head
-                break
-
-
-def _substream(seed: int, batch: int) -> np.random.Generator:
-    # documented PRNG contract: PCG64 over SeedSequence(seed) with the batch
-    # index as spawn key
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(batch,)))
-    )
+    # within n positions the depth stays below n, so n levels hold every
+    # reachable state; the clamp below only keeps the last level's
+    # (unreachable) HH edge inside the table
+    codes = _A_PART + 2 * n
+    step = np.empty(2 * codes, dtype=np.intp)
+    step[2 * _SEEK : 2 * _SEEK + 2] = (_SEEK, _HEAD)
+    step[2 * _HEAD : 2 * _HEAD + 2] = _A_PART + 1  # depth 1, last flip H
+    step[2 * _PAD : 2 * _PAD + 2] = (_PAD, _HEAD)
+    for depth in range(1, n + 1):
+        after_t = _A_PART + 2 * (depth - 1)
+        after_h = after_t + 1
+        # after a T the score does not move; after an H, HT climbs and HH sinks
+        step[2 * after_t : 2 * after_t + 2] = (after_t, after_h)
+        climbed = _PAD if depth == 1 else after_t - 2
+        sank = min(after_h + 2, codes - 1)
+        step[2 * after_h : 2 * after_h + 2] = (climbed, sank)
+    draws = np.ones(codes, dtype=np.intp)
+    draws[_HEAD] = 0
+    return step, draws
 
 
 def coupled_diff_mc(
@@ -472,20 +451,23 @@ def coupled_diff_mc(
         raise ValueError("trials must be >= 1")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
+    step, draws = _coupled_automaton(n)
     hits = 0
     done = 0
     batch = 0
     while done < trials:
         m = min(batch_size, trials - done)
         rng = _substream(seed, batch)
-        rows = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
-        packed = np.packbits(rows, axis=1, bitorder="little")
-        data = packed.tobytes()
-        width = packed.shape[1]
-        for i in range(m):
-            hits += _coupled_trial(
-                int.from_bytes(data[i * width : (i + 1) * width], "little"), n
-            )
+        # row i holds the fair flips of trial i, drawn in order; a pinned
+        # flip draws none, so at most n of them are used
+        flips = rng.integers(0, 2, size=(m, n), dtype=np.uint8).ravel()
+        cursor = np.arange(m, dtype=np.intp) * n
+        code = np.full(m, _SEEK, dtype=np.intp)
+        for _ in range(n):  # positions 1..n, all trials at once
+            flip = flips[cursor]
+            cursor += draws[code]
+            code = step[(code << 1) | flip]
+        hits += int(np.count_nonzero(code == _PAD))
         done += m
         batch += 1
     rate = hits / trials

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Union
 
 import numpy as np
-from scipy.special import gammaln
 
 ASYMPTOTIC_C = 0.5 / math.sqrt(math.pi)  # 1/(2*sqrt(pi)) ~ 0.28209479
 
@@ -43,6 +42,10 @@ def count_rx(m: int) -> int:
 
 
 def _pi_float(m: int) -> float:
+    # imported here: scipy.special is most of the package's import time and
+    # nothing else needs it
+    from scipy.special import gammaln
+
     top = m // 3
     if top < 1:
         return 0.0

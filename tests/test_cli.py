@@ -175,3 +175,16 @@ class TestVerifySubcommand:
         checks = len(lines) - 1
         assert lines[-1] == f"{checks}/{checks} invariants hold"
         assert checks >= 20
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # scipy.special is most of the startup cost; only pi(mode="float")
+        # needs it, so the command line must not pay for it up front
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, coinduel.cli; print('scipy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -50,6 +52,21 @@ class TestParse:
     def test_rejects_lowercase(self):
         with pytest.raises(ParseError):
             parse_sequence("ht")
+
+    @pytest.mark.parametrize(
+        "text,pos",
+        # int(..., 2) alone would take the separator, the spaces, the sign
+        # and the Arabic-Indic digit one
+        [("H_T", 2), ("H T", 2), (" HT", 1), ("HT\n", 3), ("+HT", 1), ("H\u0661T", 2)],
+    )
+    def test_rejects_what_int_accepts(self, text, pos):
+        with pytest.raises(ParseError, match=f"at position {pos}$"):
+            parse_sequence(text)
+
+    def test_reports_late_bad_character(self):
+        text = "HT" * 199_999 + "HX"  # the X is flip 400000
+        with pytest.raises(ParseError, match="'X' at position 400000$"):
+            parse_sequence(text)
 
     @given(texts)
     def test_text_round_trip(self, text):
@@ -180,7 +197,34 @@ class TestReversalLaws:
         assert score(seq) == score(left) + score(right)
 
 
+class TestLongSequences:
+    """The kernels on 4 * 10^5 flips, against string-level oracles."""
+
+    @pytest.fixture(scope="class")
+    def text(self):
+        rng = random.Random(20240901)
+        return "".join(rng.choice("HT") for _ in range(400_000))
+
+    def test_text_round_trip(self, text):
+        assert str(parse_sequence(text)) == text
+
+    def test_reversal(self, text):
+        assert str(reverse(parse_sequence(text))) == text[::-1]
+
+    def test_score_series(self, text):
+        running = [0]
+        for a, b in zip(text, text[1:]):
+            running.append(running[-1] + (a == "H") * (1 if b == "T" else -1))
+        seq = parse_sequence(text)
+        series = score_series(seq)
+        assert series == running
+        assert series[-1] == score(seq)
+
+
 class TestFlipSequenceValue:
+    def test_empty_prints_empty(self):
+        assert str(FlipSequence(0, 0)) == ""
+
     def test_rejects_stray_bits(self):
         with pytest.raises(ValueError):
             FlipSequence(0b100, 2)

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +24,7 @@ from coinduel import (
     score_series,
 )
 from coinduel.excursions import _decompose_indexed, _decompose_scalar
+from coinduel.montecarlo import SimConfig, _substream, simulate_game
 
 texts = st.text(alphabet="HT", min_size=1, max_size=120)
 long_texts = st.text(alphabet="HT", min_size=200, max_size=400)
@@ -311,7 +315,104 @@ class TestClassifyPosition:
             assert enumerate_distribution(n).pTie * (1 << n) == zero_class
 
 
+def coupled_trial(pool: int, n: int) -> int:
+    """Reference: one sampled renewal stream, consuming fair bits from pool
+    (LSB first), walked flip by flip.
+
+    Returns 1 iff position n lands inside the coupled B-window but past its
+    A-part -- the event whose probability is exactly twice pB - pA.  The
+    flip after each renewal head is pinned to H by the coupling, so it
+    consumes no randomness; at most n bits are ever drawn.
+    """
+    pos = 0
+    head = False
+    while pos < n:
+        pos += 1
+        head = pool & 1 == 1
+        pool >>= 1
+        if head:
+            break
+    if not head or pos >= n:
+        return 0  # n inside the initial tailrun or at its closing head
+    e = pos
+    while True:
+        # A-part: pinned head at e+1, window score starts at -1
+        pos = e + 1
+        if pos == n:
+            return 0
+        s = -1
+        prev = 1
+        while True:
+            pos += 1
+            cur = pool & 1
+            pool >>= 1
+            if prev:
+                s += 1 - 2 * cur
+            prev = cur
+            if s == 0:
+                break  # A-part closed at pos
+            if pos == n:
+                return 0  # n interior to the A-part
+        if pos == n:
+            return 1  # n at the A-part endpoint: first position of the event
+        # tail padding up to the closing head; the event holds strictly before it
+        while True:
+            pos += 1
+            cur = pool & 1
+            pool >>= 1
+            if pos == n:
+                return 0 if cur else 1
+            if cur:
+                e = pos  # closing head = next renewal head
+                break
+
+
+def reference_hits(n: int, trials: int, seed: int, batch_size: int) -> int:
+    """coupled_trial over the same seeded rows coupled_diff_mc draws."""
+    hits = 0
+    done = 0
+    batch = 0
+    while done < trials:
+        m = min(batch_size, trials - done)
+        rows = _substream(seed, batch).integers(0, 2, size=(m, n), dtype=np.uint8)
+        for row in np.packbits(rows, axis=1, bitorder="little"):
+            hits += coupled_trial(int.from_bytes(row.tobytes(), "little"), n)
+        done += m
+        batch += 1
+    return hits
+
+
 class TestCoupledDiffMC:
+    @pytest.mark.parametrize(
+        "n,trials,seed,batch_size",
+        [
+            (3, 1000, 1, 1 << 16),
+            (5, 3000, 2, 100),
+            (7, 5000, 77, 1 << 16),
+            (31, 7000, 5, 999),
+            (50, 2 * 10**4, 9, 1 << 16),
+            (200, 5000, 11, 1 << 16),
+        ],
+    )
+    def test_hits_match_reference_trials(self, n, trials, seed, batch_size):
+        est = coupled_diff_mc(n, trials, seed, batch_size)
+        assert est.hits == reference_hits(n, trials, seed, batch_size)
+
+    def test_beats_direct_simulation(self):
+        # the paper's case for the coupling: at n = 50 its standard error for
+        # pB - pA is several times smaller than that of the direct game
+        from coinduel import dp_distribution
+
+        n, trials, seed = 50, 2 * 10**4, 9
+        exact = float(dp_distribution(n).diff)
+        coupled = coupled_diff_mc(n, trials, seed)
+        direct = simulate_game(SimConfig(n=n, trials=trials, seed=seed))
+        direct_diff = direct.pB - direct.pA
+        direct_stderr = math.sqrt((direct.pA + direct.pB - direct_diff**2) / trials)
+        assert coupled.stderr <= direct_stderr / 5
+        assert abs(coupled.estimate - exact) <= 4 * coupled.stderr
+        assert abs(direct_diff - exact) <= 4 * direct_stderr
+
     def test_single_trial_values(self):
         for seed in range(6):
             est = coupled_diff_mc(5, 1, seed)
