@@ -3,7 +3,7 @@
 Alice scores a point for every (overlapping) HH in n coin flips, Bob for
 every HT; whoever scores more wins.  This package computes the outcome
 distribution exactly (enumeration, big-rational DP), through the renewal /
-excursion structure of the score process (closed-form counts, the
+excursion structure of the score process (renewal counts by recurrence, the
 convolution identity, a coupled Monte Carlo estimator), asymptotically
 (the 1/(2*sqrt(pi*n)) family of laws), and by direct seeded simulation.
 """

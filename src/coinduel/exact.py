@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 from typing import Iterator, Union
 
 import numpy as np
@@ -90,6 +92,10 @@ def enumerate_distribution(n: int, p=Fraction(1, 2)) -> ExactDistribution:
     return ExactDistribution(n, p, pA, pB, pTie)
 
 
+def _scaled(values: list[int], factor: int) -> list[int]:
+    return values if factor == 1 else list(map(mul, values, repeat(factor)))
+
+
 def _dp_scan(n: int, p: Fraction) -> Iterator[tuple[int, int, int, int]]:
     """Forward DP in integer weights; yields (k, below, equal, above) per step.
 
@@ -98,6 +104,13 @@ def _dp_scan(n: int, p: Fraction) -> Iterator[tuple[int, int, int, int]]:
     (T, s) -> (T, s).  Weights are multiplied by p's numerator for H and by
     denominator-numerator for T, so step k sums to denominator^k.  Only the
     reachable band s in [-(k-1), floor(k/2)] is touched.
+
+    The sign sums are carried across the zero line rather than re-summed:
+    the same maps send the below-zero H mass to
+    a (h_below + H(0) + t_below) and the T mass to
+    c (h_below - H(-1) + t_below), and the above-zero H and T mass to
+    a (h_above - H(1) + t_above) and c (h_above + H(0) + t_above), where
+    H(.) are the cells of the step before.
     """
     num, den = p.numerator, p.denominator
     a, c = num, den - num
@@ -107,27 +120,33 @@ def _dp_scan(n: int, p: Fraction) -> Iterator[tuple[int, int, int, int]]:
     weight_t = [0] * size
     weight_h[off] = a
     weight_t[off] = c
+    h_below = t_below = h_above = t_above = 0
     yield 1, 0, a + c, 0
     for k in range(2, n + 1):
         lo = off - (k - 1)
         hi = off + k // 2
-        idx = range(lo, hi + 1)
-        if a == 1 and c == 1:
-            new_h = [weight_h[i + 1] + weight_t[i] for i in idx]
-            new_t = [weight_h[i - 1] + weight_t[i] for i in idx]
-        else:
-            new_h = [a * (weight_h[i + 1] + weight_t[i]) for i in idx]
-            new_t = [c * (weight_h[i - 1] + weight_t[i]) for i in idx]
+        h_minus, h_zero, h_plus = weight_h[off - 1 : off + 2]
+        h_below, t_below, h_above, t_above = (
+            a * (h_below + h_zero + t_below),
+            c * (h_below - h_minus + t_below),
+            a * (h_above - h_plus + t_above),
+            c * (h_above + h_zero + t_above),
+        )
+        band_t = weight_t[lo : hi + 1]
+        new_h = _scaled(list(map(add, weight_h[lo + 1 : hi + 2], band_t)), a)
+        new_t = _scaled(list(map(add, weight_h[lo - 1 : hi], band_t)), c)
         weight_h[lo : hi + 1] = new_h
         weight_t[lo : hi + 1] = new_t
-        below = sum(weight_h[lo:off]) + sum(weight_t[lo:off])
-        equal = weight_h[off] + weight_t[off]
-        above = sum(weight_h[off + 1 : hi + 1]) + sum(weight_t[off + 1 : hi + 1])
-        yield k, below, equal, above
+        yield k, h_below + t_below, weight_h[off] + weight_t[off], h_above + t_above
 
 
-def _dp_float_scan(n: int, p: float) -> Iterator[tuple[int, float, float, float]]:
-    """Float twin of _dp_scan; yields (k, below, equal, above) probabilities."""
+def _dp_float_bands(n: int, p: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Float twin of _dp_scan's band: yields the H and T probabilities of the
+    reachable band after each step k = 1..n, with score 0 at index k - 1.
+
+    The arrays are views of buffers that the next step overwrites, so read
+    each before asking for the next.
+    """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must satisfy 0 < p < 1, got {p}")
     q = 1.0 - p
@@ -139,7 +158,7 @@ def _dp_float_scan(n: int, p: float) -> Iterator[tuple[int, float, float, float]
     new_t = np.zeros(size)
     cur_h[off] = p
     cur_t[off] = q
-    yield 1, 0.0, 1.0, 0.0
+    yield cur_h[off : off + 1], cur_t[off : off + 1]
     for k in range(2, n + 1):
         lo = off - (k - 1)
         hi = off + k // 2
@@ -154,10 +173,19 @@ def _dp_float_scan(n: int, p: float) -> Iterator[tuple[int, float, float, float]
         new_t[band] *= q
         cur_h, new_h = new_h, cur_h
         cur_t, new_t = new_t, cur_t
-        below = float(cur_h[lo:off].sum() + cur_t[lo:off].sum())
-        equal = float(cur_h[off] + cur_t[off])
-        above = float(cur_h[off + 1 : hi + 1].sum() + cur_t[off + 1 : hi + 1].sum())
-        yield k, below, equal, above
+        yield cur_h[band], cur_t[band]
+
+
+def _float_sign_sums(h: np.ndarray, t: np.ndarray, k: int) -> tuple[float, float, float]:
+    """(below, equal, above) of the step-k band that _dp_float_bands yields."""
+    if k == 1:
+        # one flip always ties, though p + (1 - p) may round off 1
+        return 0.0, 1.0, 0.0
+    zero = k - 1
+    below = float(h[:zero].sum() + t[:zero].sum())
+    equal = float(h[zero] + t[zero])
+    above = float(h[zero + 1 :].sum() + t[zero + 1 :].sum())
+    return below, equal, above
 
 
 def _rounding_bound(n: int) -> float:
@@ -184,8 +212,9 @@ def dp_distribution(
         )
     if mode == "float":
         pf = float(p)
-        for _, below, equal, above in _dp_float_scan(n, pf):
+        for h, t in _dp_float_bands(n, pf):
             pass
+        below, equal, above = _float_sign_sums(h, t, n)
         return FloatDistribution(n, pf, below, above, equal, _rounding_bound(n))
     raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
 
@@ -212,7 +241,8 @@ def dp_float_series(n_max: int, p: float = 0.5) -> list[FloatDistribution]:
     """FloatDistribution for every n = 1..n_max from a single forward pass."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    return [
-        FloatDistribution(k, p, below, above, equal, _rounding_bound(k))
-        for k, below, equal, above in _dp_float_scan(n_max, float(p))
-    ]
+    out = []
+    for k, (h, t) in enumerate(_dp_float_bands(n_max, float(p)), start=1):
+        below, equal, above = _float_sign_sums(h, t, k)
+        out.append(FloatDistribution(k, p, below, above, equal, _rounding_bound(k)))
+    return out

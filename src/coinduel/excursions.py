@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .core import FlipSequence, reverse
-from .montecarlo import _substream
+from .montecarlo import _MAX_BLOCK_CELLS, _substream
 
 EXCURSION_ENUM_CAP = 24
 
@@ -452,22 +452,28 @@ def coupled_diff_mc(
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     step, draws = _coupled_automaton(n)
+    # a whole number of 4-row groups per block keeps each block's cell count
+    # a multiple of 4, so the blocked uint8 draws (four per 32-bit word) read
+    # the batch's stream exactly as one draw of the whole batch would
+    block = max(4, _MAX_BLOCK_CELLS // n // 4 * 4)
     hits = 0
     done = 0
     batch = 0
     while done < trials:
         m = min(batch_size, trials - done)
         rng = _substream(seed, batch)
-        # row i holds the fair flips of trial i, drawn in order; a pinned
-        # flip draws none, so at most n of them are used
-        flips = rng.integers(0, 2, size=(m, n), dtype=np.uint8).ravel()
-        cursor = np.arange(m, dtype=np.intp) * n
-        code = np.full(m, _SEEK, dtype=np.intp)
-        for _ in range(n):  # positions 1..n, all trials at once
-            flip = flips[cursor]
-            cursor += draws[code]
-            code = step[(code << 1) | flip]
-        hits += int(np.count_nonzero(code == _PAD))
+        for start in range(0, m, block):
+            rows = min(block, m - start)
+            # row i holds the fair flips of trial i, drawn in order; a pinned
+            # flip draws none, so at most n of them are used
+            flips = rng.integers(0, 2, size=(rows, n), dtype=np.uint8).ravel()
+            cursor = np.arange(rows, dtype=np.intp) * n
+            code = np.full(rows, _SEEK, dtype=np.intp)
+            for _ in range(n):  # positions 1..n, all rows of the block at once
+                flip = flips[cursor]
+                cursor += draws[code]
+                code = step[(code << 1) | flip]
+            hits += int(np.count_nonzero(code == _PAD))
         done += m
         batch += 1
     rate = hits / trials

@@ -307,12 +307,33 @@ def _brute_count_rx(m: int) -> int:
     return total
 
 
+def _count_rx_closed_form(m: int) -> int:
+    """count_rx(m) as the binomial sum over the number s of matched descents.
+
+    Such a sequence splits into s descents matched against s ascents; the
+    two block-partition counts give a product of binomials per s.  The sum
+    must start at s = 1: the single-descent boundary term is what counts
+    e.g. TTHHT at m = 5.
+    """
+    return sum(
+        math.comb(m - 2 * s - 1, s - 1) * math.comb(2 * s - 1, s - 1)
+        for s in range(1, m // 3 + 1)
+    )
+
+
 def _check_count_rx_brute_force() -> tuple[bool, str]:
     for m in range(1, 25):
         expected = _brute_count_rx(m)
         if count_rx(m) != expected:
             return False, f"count_rx({m}) = {count_rx(m)} but brute force gives {expected}"
-    return True, "closed-form count matches exhaustive scans for m <= 24"
+    for m in range(1, 301):
+        expected = _count_rx_closed_form(m)
+        if count_rx(m) != expected:
+            return False, f"count_rx({m}) = {count_rx(m)} but the closed form gives {expected}"
+    return True, (
+        "recurrence count matches exhaustive scans for m <= 24 "
+        "and the binomial closed form for m <= 300"
+    )
 
 
 def _check_pi_asymptotics() -> tuple[bool, str]:

@@ -75,14 +75,15 @@ def check_renewal_convolution_equals_dp() -> str:
 
 
 def check_renewal_counts_match_brute_force() -> str:
-    """count_rx agrees with direct enumeration through m = 24."""
+    """count_rx, computed by its recurrence, agrees with direct enumeration
+    through m = 24."""
     for m in range(1, 25):
-        closed = count_rx(m)
+        recurrence = count_rx(m)
         brute = _brute_count_rx(m)
-        assert closed == brute, f"count_rx({m}) = {closed}, enumeration says {brute}"
+        assert recurrence == brute, f"count_rx({m}) = {recurrence}, enumeration says {brute}"
     first = tuple(count_rx(m) for m in range(3, 7))
     assert first == (1, 1, 1, 4), f"count_rx(3..6) = {first}, want (1, 1, 1, 4)"
-    return f"closed form == enumeration for m = 1..24; count_rx(3..6) = {first}"
+    return f"recurrence (count_rx) == enumeration for m = 1..24; count_rx(3..6) = {first}"
 
 
 def check_pi_sqrt_scaling() -> str:

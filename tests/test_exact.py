@@ -14,6 +14,7 @@ from coinduel import (
     enumerate_distribution,
     ExactDistribution,
 )
+from coinduel.exact import _dp_scan
 
 probs = st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100))
 
@@ -51,7 +52,38 @@ class TestEnumerate:
             enumerate_distribution(4, bad)
 
 
+def reference_dp_scan(n: int, p: Fraction):
+    """Reference for _dp_scan: the same band update, with the three sign
+    classes summed afresh over the whole band at every step."""
+    a, c = p.numerator, p.denominator - p.numerator
+    off = n
+    weight_h = [0] * (n + n // 2 + 3)
+    weight_t = [0] * (n + n // 2 + 3)
+    weight_h[off] = a
+    weight_t[off] = c
+    yield 1, 0, a + c, 0
+    for k in range(2, n + 1):
+        lo = off - (k - 1)
+        hi = off + k // 2
+        idx = range(lo, hi + 1)
+        new_h = [a * (weight_h[i + 1] + weight_t[i]) for i in idx]
+        new_t = [c * (weight_h[i - 1] + weight_t[i]) for i in idx]
+        weight_h[lo : hi + 1] = new_h
+        weight_t[lo : hi + 1] = new_t
+        below = sum(weight_h[lo:off]) + sum(weight_t[lo:off])
+        equal = weight_h[off] + weight_t[off]
+        above = sum(weight_h[off + 1 : hi + 1]) + sum(weight_t[off + 1 : hi + 1])
+        yield k, below, equal, above
+
+
 class TestDPExact:
+    @pytest.mark.parametrize(
+        "p", [HALF, Fraction(3, 5), Fraction(1, 3), Fraction(2, 5)], ids=str
+    )
+    def test_scan_matches_reference_every_step(self, p):
+        for n in (1, 2, 3, 4, 301):
+            assert list(_dp_scan(n, p)) == list(reference_dp_scan(n, p)), n
+
     def test_single_flip_ties_any_coin(self):
         for p in (HALF, Fraction(1, 3), Fraction(9, 10)):
             d = dp_distribution(1, p)
@@ -112,6 +144,14 @@ class TestDPFloat:
         for e, f in zip(exact, floats):
             for a, b in ((e.pA, f.pA), (e.pB, f.pB), (e.pTie, f.pTie)):
                 assert abs(float(a) - b) <= f.rounding_bound
+
+    def test_last_step_matches_series(self):
+        # dp_distribution sums only the last band; the series sums every one
+        for p in (0.5, 0.6, 0.1):
+            for n in (1, 2, 3, 77, 1000):
+                single = dp_distribution(n, p, mode="float")
+                last = dp_float_series(n, p)[-1]
+                assert (single.pA, single.pB, single.pTie) == (last.pA, last.pB, last.pTie)
 
     def test_sum_near_one(self):
         f = dp_float_series(2000)[-1]

@@ -392,6 +392,10 @@ class TestCoupledDiffMC:
             (31, 7000, 5, 999),
             (50, 2 * 10**4, 9, 1 << 16),
             (200, 5000, 11, 1 << 16),
+            # two draw blocks of at most montecarlo._MAX_BLOCK_CELLS cells;
+            # at odd n only a row count that is a multiple of 4 keeps the stream
+            (1000, 4500, 3, 1 << 16),
+            (1001, 4500, 4, 1 << 16),
         ],
     )
     def test_hits_match_reference_trials(self, n, trials, seed, batch_size):

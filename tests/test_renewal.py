@@ -10,6 +10,7 @@ from coinduel import (
     asymptotics,
     binomial_pmf,
     count_rx,
+    dp_distribution,
     dp_series,
     jump_mean_truncated,
     pi,
@@ -17,6 +18,7 @@ from coinduel import (
     renewal_table,
     tailwalk,
 )
+from coinduel.verify import _count_rx_closed_form
 
 
 def brute_count_rx(m: int) -> int:
@@ -51,8 +53,30 @@ class TestCountRx:
             assert count_rx(m) == brute_count_rx(m), m
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            count_rx(0)
+        for m in (0, -1):
+            with pytest.raises(ValueError):
+                count_rx(m)
+
+    def test_recurrence_matches_closed_form(self):
+        counts = renewal_table(1, 1000).counts
+        for m, c in enumerate(counts, start=1):
+            assert c == _count_rx_closed_form(m), m
+
+    def test_recurrence_division_is_exact(self):
+        # y_0 = 1 and y_m = 2 count_rx(m): every right-hand side of
+        # (m+1) y_{m+1} = 2m y_m - (m-1) y_{m-1} + (4m-2) y_{m-2} - (4m-8) y_{m-3}
+        # must be a multiple of m + 1, with the next term as quotient
+        y = [0, 0, 0, 1] + [2 * c for c in renewal_table(1, 2001).counts]
+        for m in range(2001):
+            y_m3, y_m2, y_m1, y_m = y[m : m + 4]
+            rhs = 2 * m * y_m - (m - 1) * y_m1 + (4 * m - 2) * y_m2 - (4 * m - 8) * y_m3
+            assert rhs % (m + 1) == 0, m
+            assert rhs // (m + 1) == y[m + 4], m
+
+    def test_point_values_are_memoised(self):
+        count_rx.cache_clear()
+        count_rx(50)
+        assert count_rx.cache_info().currsize == 1
 
 
 class TestPi:
@@ -97,6 +121,21 @@ class TestRenewalDiff:
         for n, dist in enumerate(dp_series(60), start=1):
             if n >= 3:
                 assert renewal_diff(n) == dist.diff, n
+
+    def test_matches_fraction_convolution(self):
+        # the convolution term by term in rationals, over the closed-form counts
+        pis = [None] + [
+            Fraction(_count_rx_closed_form(m), 1 << (m - 1)) for m in range(1, 301)
+        ]
+        for n in range(3, 301):
+            conv = sum(
+                (Fraction(1, 1 << (k + 1)) * pis[n - k] for k in range(n - 2)), Fraction(0)
+            )
+            assert renewal_diff(n) == conv, n
+
+    @pytest.mark.parametrize("n", [1001, 1401])
+    def test_matches_dp_difference_large(self, n):
+        assert renewal_diff(n) == dp_distribution(n).diff
 
     def test_rejects_short(self):
         with pytest.raises(ValueError):
