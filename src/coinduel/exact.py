@@ -57,21 +57,30 @@ def _as_probability(p) -> Fraction:
     return p
 
 
+def _omega_scores(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every b in Omega_n, in order and in chunks of 2^21, with its S_n.
+
+    Yields (bits, scores): bit i of bits[j] is flip i+1, and scores[j] =
+    #HT - #HH counted by popcounts of the pair masks.
+    """
+    pair_mask = np.uint64((1 << (n - 1)) - 1) if n >= 2 else np.uint64(0)
+    chunk = 1 << 21  # 16 MiB of bits
+    for lo in range(0, 1 << n, chunk):
+        bits = np.arange(lo, min(lo + chunk, 1 << n), dtype=np.uint64)
+        shifted = bits >> np.uint64(1)
+        ht = np.bitwise_count(bits & ~shifted & pair_mask)
+        hh = np.bitwise_count(bits & shifted & pair_mask)
+        yield bits, np.subtract(ht, hh, dtype=np.int16)
+
+
 def _sign_head_counts(n: int) -> np.ndarray:
     """Counts of sequences in Omega_n by (sign of S_n, number of heads).
 
     Rows: 0 = score < 0, 1 = score > 0, 2 = score = 0.
     """
     counts = np.zeros((3, n + 1), dtype=np.int64)
-    pair_mask = np.uint64((1 << (n - 1)) - 1) if n >= 2 else np.uint64(0)
-    chunk = 1 << 22
-    for lo in range(0, 1 << n, chunk):
-        arr = np.arange(lo, min(lo + chunk, 1 << n), dtype=np.uint64)
-        shifted = arr >> np.uint64(1)
-        hh = np.bitwise_count(arr & shifted & pair_mask).astype(np.int64)
-        ht = np.bitwise_count(arr & ~shifted & pair_mask).astype(np.int64)
-        heads = np.bitwise_count(arr).astype(np.int64)
-        s = ht - hh
+    for bits, s in _omega_scores(n):
+        heads = np.bitwise_count(bits).astype(np.int64)
         sign = np.where(s < 0, 0, np.where(s > 0, 1, 2))
         key = sign * (n + 1) + heads
         counts += np.bincount(key, minlength=3 * (n + 1)).reshape(3, n + 1)
@@ -241,8 +250,9 @@ def dp_float_series(n_max: int, p: float = 0.5) -> list[FloatDistribution]:
     """FloatDistribution for every n = 1..n_max from a single forward pass."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    pf = float(p)
     out = []
-    for k, (h, t) in enumerate(_dp_float_bands(n_max, float(p)), start=1):
+    for k, (h, t) in enumerate(_dp_float_bands(n_max, pf), start=1):
         below, equal, above = _float_sign_sums(h, t, k)
-        out.append(FloatDistribution(k, p, below, above, equal, _rounding_bound(k)))
+        out.append(FloatDistribution(k, pf, below, above, equal, _rounding_bound(k)))
     return out

@@ -20,13 +20,11 @@ from enum import Enum
 
 import numpy as np
 
-from .core import FlipSequence, reverse
+from .core import HEADS, FlipSequence, reverse, score_series
+from .exact import _omega_scores
 from .montecarlo import _MAX_BLOCK_CELLS, _substream
 
 EXCURSION_ENUM_CAP = 24
-
-# decompose() switches to the vectorized parser above this length
-_INDEXED_MIN_LEN = 256
 
 
 class ExcursionKind(Enum):
@@ -115,9 +113,21 @@ class Decomposition:
         }
 
 
-def _is_b(bits: int, n: int) -> bool:
-    if bits & 3 != 1 or (bits >> (n - 2)) & 3 != 3:
+# fixed first/last pair (bit0 = earlier flip) of each excursion family
+_ENDS = {
+    ExcursionKind.B: (0b01, 0b11),
+    ExcursionKind.A: (0b11, 0b01),
+    ExcursionKind.A_HAT: (0b11, 0b10),
+}
+
+
+def _is_signed(bits: int, n: int, kind: ExcursionKind) -> bool:
+    """B or A excursion test: the fixed end pairs, a window score strictly
+    positive (B) or negative (A) inside, and zero at the end."""
+    first, last = _ENDS[kind]
+    if bits & 3 != first or (bits >> (n - 2)) & 3 != last:
         return False
+    sign = 1 if kind is ExcursionKind.B else -1
     s = 0
     prev = 1
     b = bits
@@ -127,24 +137,7 @@ def _is_b(bits: int, n: int) -> bool:
         if prev:
             s += 1 - 2 * cur
         prev = cur
-        if l < n and s <= 0:
-            return False
-    return s == 0
-
-
-def _is_a(bits: int, n: int) -> bool:
-    if bits & 3 != 3 or (bits >> (n - 2)) & 3 != 1:
-        return False
-    s = 0
-    prev = 1
-    b = bits
-    for l in range(2, n + 1):
-        b >>= 1
-        cur = b & 1
-        if prev:
-            s += 1 - 2 * cur
-        prev = cur
-        if l < n and s >= 0:
+        if l < n and s * sign <= 0:
             return False
     return s == 0
 
@@ -158,7 +151,13 @@ def _is_a_hat(bits: int, n: int) -> bool:
     while m and not (bits >> (m - 1)) & 1:
         m -= 1
     # m is the last head before the padding; the A-part keeps one tail after it
-    return m >= 2 and _is_a(bits & ((1 << (m + 1)) - 1), m + 1)
+    return m >= 2 and _is_signed(bits & ((1 << (m + 1)) - 1), m + 1, ExcursionKind.A)
+
+
+def _is_kind(bits: int, n: int, kind: ExcursionKind) -> bool:
+    if kind is ExcursionKind.A_HAT:
+        return _is_a_hat(bits, n)
+    return _is_signed(bits, n, kind)
 
 
 def classify_excursion(seq: FlipSequence) -> ExcursionKind:
@@ -166,27 +165,10 @@ def classify_excursion(seq: FlipSequence) -> ExcursionKind:
     n = seq.length
     if n < 2:
         raise ValueError("an excursion candidate needs at least 2 flips")
-    if _is_b(seq.bits, n):
-        return ExcursionKind.B
-    if _is_a(seq.bits, n):
-        return ExcursionKind.A
-    if _is_a_hat(seq.bits, n):
-        return ExcursionKind.A_HAT
+    for kind in (ExcursionKind.B, ExcursionKind.A, ExcursionKind.A_HAT):
+        if _is_kind(seq.bits, n, kind):
+            return kind
     return ExcursionKind.NONE
-
-
-# fixed first/last pair (bit0 = earlier flip) used to prefilter candidates
-_PREFILTER = {
-    ExcursionKind.B: (0b01, 0b11),
-    ExcursionKind.A: (0b11, 0b01),
-    ExcursionKind.A_HAT: (0b11, 0b10),
-}
-
-_CHECKS = {
-    ExcursionKind.B: _is_b,
-    ExcursionKind.A: _is_a,
-    ExcursionKind.A_HAT: _is_a_hat,
-}
 
 
 def enumerate_excursions(k: int, kind: ExcursionKind | str) -> set[FlipSequence]:
@@ -198,17 +180,15 @@ def enumerate_excursions(k: int, kind: ExcursionKind | str) -> set[FlipSequence]
         raise ValueError("excursions have length >= 2")
     if k > EXCURSION_ENUM_CAP:
         raise ValueError(f"enumeration is capped at length {EXCURSION_ENUM_CAP}")
-    first, last = _PREFILTER[kind]
-    check = _CHECKS[kind]
-    found: set[FlipSequence] = set()
+    first, last = _ENDS[kind]
     top = np.uint64(k - 2)
-    chunk = 1 << 22
-    for lo in range(0, 1 << k, chunk):
-        arr = np.arange(lo, min(lo + chunk, 1 << k), dtype=np.uint64)
-        mask = ((arr & np.uint64(3)) == first) & (((arr >> top) & np.uint64(3)) == last)
-        for b in arr[mask]:
-            b = int(b)
-            if check(b, k):
+    found: set[FlipSequence] = set()
+    # every excursion ends at total score 0 (an A-hat adds only TT and TH)
+    for bits, scores in _omega_scores(k):
+        mask = (scores == 0) & ((bits & np.uint64(3)) == first)
+        mask &= ((bits >> top) & np.uint64(3)) == last
+        for b in bits[mask].tolist():
+            if _is_kind(b, k, kind):
                 found.add(FlipSequence(b, k))
     return found
 
@@ -228,126 +208,49 @@ def couple(tau: FlipSequence, tail_len: int = 0) -> tuple[FlipSequence, FlipSequ
     return alpha, reverse(alpha)
 
 
-def _decompose_scalar(seq: FlipSequence) -> Decomposition:
-    bits, n = seq.bits, seq.length
-    first_head = 0
-    b = bits
-    for pos in range(1, n + 1):
-        if b & 1:
-            first_head = pos
-            break
-        b >>= 1
-    if not first_head:
-        return Decomposition(n, n, None, (), None)
-
-    slots: list[Slot] = []
-    trailing = None
-    e = first_head
-    while True:
-        if e == n:
-            trailing = Slot(e, e, SlotKind.UNDETERMINED, None, False, seq.window(e, e))
-            break
-        a_type = (bits >> e) & 1 == 1  # the flip after the head picks the form
-        # window score from the head at e; first return to zero closes B or tau
-        s = 0
-        prev = 1
-        zero_at = 0
-        j = e
-        while j < n:
-            j += 1
-            cur = (bits >> (j - 1)) & 1
-            if prev:
-                s += 1 - 2 * cur
-            prev = cur
-            if s == 0:
-                zero_at = j
-                break
-        if not a_type:
-            if zero_at:
-                slots.append(Slot(e, zero_at, SlotKind.B, None, True, seq.window(e, zero_at)))
-                e = zero_at
-                continue
-            slots.append(Slot(e, n, SlotKind.B, None, False, seq.window(e, n)))
-            break
-        if not zero_at:
-            slots.append(Slot(e, n, SlotKind.A, None, False, seq.window(e, n)))
-            break
-        tau_end = zero_at
-        j = tau_end
-        while j < n and not (bits >> j) & 1:
-            j += 1
-        if j < n:
-            f = j + 1
-            slots.append(Slot(e, f, SlotKind.A, tau_end, True, seq.window(e, f)))
-            e = f
-            continue
-        slots.append(Slot(e, n, SlotKind.A, tau_end, False, seq.window(e, n)))
-        break
-    return Decomposition(n, first_head - 1, first_head, tuple(slots), trailing)
-
-
-def _decompose_indexed(seq: FlipSequence) -> Decomposition:
-    """Same parse as _decompose_scalar, driven by precomputed index tables."""
-    bits, n = seq.bits, seq.length
-    flips = np.unpackbits(
-        np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8),
-        bitorder="little",
-        count=n,
-    ).astype(bool)
-    head_pos = np.flatnonzero(flips) + 1  # 1-based
-    if head_pos.size == 0:
-        return Decomposition(n, n, None, (), None)
-    first_head = int(head_pos[0])
-
-    jumps = np.zeros(n, dtype=np.int64)
-    jumps[1:][flips[:-1] & ~flips[1:]] = 1
-    jumps[1:][flips[:-1] & flips[1:]] = -1
-    scores = np.cumsum(jumps)  # scores[i] = S_{i+1}
-    # next position with the same aggregate score = window-score return to 0;
-    # a stable sort groups equal scores in position order
-    order = np.argsort(scores, kind="stable")
-    nxt = np.zeros(n, dtype=np.int64)
-    same = scores[order[1:]] == scores[order[:-1]]
-    nxt[order[:-1][same]] = order[1:][same] + 1
-
-    slots: list[Slot] = []
-    trailing = None
-    e = first_head
-    while True:
-        if e == n:
-            trailing = Slot(e, e, SlotKind.UNDETERMINED, None, False, seq.window(e, e))
-            break
-        a_type = bool(flips[e])
-        zero_at = int(nxt[e - 1])
-        if not a_type:
-            if zero_at:
-                slots.append(Slot(e, zero_at, SlotKind.B, None, True, seq.window(e, zero_at)))
-                e = zero_at
-                continue
-            slots.append(Slot(e, n, SlotKind.B, None, False, seq.window(e, n)))
-            break
-        if not zero_at:
-            slots.append(Slot(e, n, SlotKind.A, None, False, seq.window(e, n)))
-            break
-        tau_end = zero_at
-        k = int(np.searchsorted(head_pos, tau_end, side="right"))
-        if k < head_pos.size:
-            f = int(head_pos[k])
-            slots.append(Slot(e, f, SlotKind.A, tau_end, True, seq.window(e, f)))
-            e = f
-            continue
-        slots.append(Slot(e, n, SlotKind.A, tau_end, False, seq.window(e, n)))
-        break
-    return Decomposition(n, first_head - 1, first_head, tuple(slots), trailing)
-
-
 def decompose(seq: FlipSequence) -> Decomposition:
     """Greedy left-to-right renewal parse of seq."""
-    if seq.length == 0:
+    n = seq.length
+    if n == 0:
         raise ValueError("cannot decompose an empty sequence")
-    if seq.length >= _INDEXED_MIN_LEN:
-        return _decompose_indexed(seq)
-    return _decompose_scalar(seq)
+    text = str(seq)
+    first_head = text.find(HEADS) + 1
+    if not first_head:
+        return Decomposition(n, n, None, (), None)
+    # scores[j - 1] = S_j; the window score from the head at e returns to
+    # zero at the first j > e where S_j comes back to S_e
+    scores = score_series(seq)
+    slots: list[Slot] = []
+    trailing = None
+    e = first_head
+    while True:
+        if e == n:
+            trailing = Slot(e, e, SlotKind.UNDETERMINED, None, False, seq.window(e, e))
+            break
+        a_type = text[e] == HEADS  # the flip after the head picks the form
+        try:
+            zero_at = scores.index(scores[e - 1], e) + 1
+        except ValueError:
+            zero_at = 0
+        if not a_type:
+            if zero_at:
+                slots.append(Slot(e, zero_at, SlotKind.B, None, True, seq.window(e, zero_at)))
+                e = zero_at
+                continue
+            slots.append(Slot(e, n, SlotKind.B, None, False, seq.window(e, n)))
+            break
+        if not zero_at:
+            slots.append(Slot(e, n, SlotKind.A, None, False, seq.window(e, n)))
+            break
+        # zero_at closes the A-part; its tail padding runs to the next head
+        f = text.find(HEADS, zero_at) + 1
+        if f:
+            slots.append(Slot(e, f, SlotKind.A, zero_at, True, seq.window(e, f)))
+            e = f
+            continue
+        slots.append(Slot(e, n, SlotKind.A, zero_at, False, seq.window(e, n)))
+        break
+    return Decomposition(n, first_head - 1, first_head, tuple(slots), trailing)
 
 
 def _slot_containing(decomp: Decomposition, pos: int) -> Slot:
@@ -358,6 +261,8 @@ def _slot_containing(decomp: Decomposition, pos: int) -> Slot:
 
 def position_class(decomp: Decomposition, pos: int) -> PositionClass:
     """Classify a 1-based position against an existing parse."""
+    if not 1 <= pos <= decomp.length:
+        raise IndexError(f"position {pos} outside 1..{decomp.length}")
     if decomp.first_head_pos is None or pos <= decomp.first_head_pos:
         return PositionClass.INITIAL_TAILRUN
     slot = _slot_containing(decomp, pos)
@@ -381,8 +286,6 @@ def classify_position(seq: FlipSequence, pos: int) -> PositionClass:
     the two remaining classes split S_pos = 0 by whether the stream has
     produced its first head yet.
     """
-    if not 1 <= pos <= seq.length:
-        raise IndexError(f"position {pos} outside 1..{seq.length}")
     return position_class(decompose(seq), pos)
 
 

@@ -24,12 +24,18 @@ from .core import (
     score_series,
     score_via_runs,
 )
-from .exact import dp_distribution, dp_float_series, dp_series, enumerate_distribution
+from .exact import (
+    _omega_scores,
+    dp_distribution,
+    dp_float_series,
+    dp_series,
+    enumerate_distribution,
+)
 from .excursions import (
+    Decomposition,
     ExcursionKind,
+    Slot,
     SlotKind,
-    _decompose_indexed,
-    _decompose_scalar,
     classify_position,
     decompose,
     enumerate_excursions,
@@ -138,14 +144,7 @@ def _check_bijection() -> tuple[bool, str]:
 
 def _final_sign_table(n: int) -> np.ndarray:
     """sign(S_n) for every b in Omega_n, via independent pair popcounts."""
-    arr = np.arange(1 << n, dtype=np.uint64)
-    if n < 2:
-        return np.zeros(arr.size, dtype=np.int64)
-    mask = np.uint64((1 << (n - 1)) - 1)
-    shifted = arr >> np.uint64(1)
-    ht = np.bitwise_count(arr & ~shifted & mask).astype(np.int64)
-    hh = np.bitwise_count(arr & shifted & mask).astype(np.int64)
-    return np.sign(ht - hh)
+    return np.concatenate([np.sign(scores) for _, scores in _omega_scores(n)])
 
 
 def _check_position_classifier() -> tuple[bool, str]:
@@ -216,14 +215,81 @@ def _check_interior_scores() -> tuple[bool, str]:
     return True, f"interior score signs hold in {slots_seen} parsed windows, n <= 14"
 
 
+def _decompose_reference(seq: FlipSequence) -> Decomposition:
+    """The renewal parse walked flip by flip: the oracle for decompose."""
+    bits, n = seq.bits, seq.length
+    first_head = 0
+    b = bits
+    for pos in range(1, n + 1):
+        if b & 1:
+            first_head = pos
+            break
+        b >>= 1
+    if not first_head:
+        return Decomposition(n, n, None, (), None)
+
+    slots: list[Slot] = []
+    trailing = None
+    e = first_head
+    while True:
+        if e == n:
+            trailing = Slot(e, e, SlotKind.UNDETERMINED, None, False, seq.window(e, e))
+            break
+        a_type = (bits >> e) & 1 == 1  # the flip after the head picks the form
+        # window score from the head at e; first return to zero closes B or tau
+        s = 0
+        prev = 1
+        zero_at = 0
+        j = e
+        while j < n:
+            j += 1
+            cur = (bits >> (j - 1)) & 1
+            if prev:
+                s += 1 - 2 * cur
+            prev = cur
+            if s == 0:
+                zero_at = j
+                break
+        if not a_type:
+            if zero_at:
+                slots.append(Slot(e, zero_at, SlotKind.B, None, True, seq.window(e, zero_at)))
+                e = zero_at
+                continue
+            slots.append(Slot(e, n, SlotKind.B, None, False, seq.window(e, n)))
+            break
+        if not zero_at:
+            slots.append(Slot(e, n, SlotKind.A, None, False, seq.window(e, n)))
+            break
+        tau_end = zero_at
+        j = tau_end
+        while j < n and not (bits >> j) & 1:
+            j += 1
+        if j < n:
+            f = j + 1
+            slots.append(Slot(e, f, SlotKind.A, tau_end, True, seq.window(e, f)))
+            e = f
+            continue
+        slots.append(Slot(e, n, SlotKind.A, tau_end, False, seq.window(e, n)))
+        break
+    return Decomposition(n, first_head - 1, first_head, tuple(slots), trailing)
+
+
 def _check_parser_equivalence() -> tuple[bool, str]:
+    for n in range(1, 13):
+        for b in range(1 << n):
+            seq = FlipSequence(b, n)
+            if decompose(seq) != _decompose_reference(seq):
+                return False, f"parsers disagree at {seq}"
     rng = _rng(105)
     trials = 2000
     for _ in range(trials):
         seq = _random_sequence(rng, int(rng.integers(240, 521)))
-        if _decompose_scalar(seq) != _decompose_indexed(seq):
+        if decompose(seq) != _decompose_reference(seq):
             return False, f"parsers disagree on a length-{seq.length} sequence"
-    return True, f"scalar and indexed parsers agree on {trials} random sequences"
+    return True, (
+        f"decompose equals the flip-by-flip reference, exhaustive to length 12 "
+        f"plus {trials} random sequences"
+    )
 
 
 # ---------------------------------------------------------------- exact
@@ -294,17 +360,11 @@ def _brute_count_rx(m: int) -> int:
     """Exhaustive count of sequences ending HT with score 0, by popcounts."""
     if m < 2:
         return 0
-    total = 0
-    mask = np.uint64((1 << (m - 1)) - 1)
-    chunk = 1 << 22
-    for lo in range(0, 1 << m, chunk):
-        arr = np.arange(lo, min(lo + chunk, 1 << m), dtype=np.uint64)
-        ends_ht = (arr >> np.uint64(m - 2)) & np.uint64(3) == np.uint64(1)
-        shifted = arr >> np.uint64(1)
-        ht = np.bitwise_count(arr & ~shifted & mask)
-        hh = np.bitwise_count(arr & shifted & mask)
-        total += int(np.count_nonzero(ends_ht & (ht == hh)))
-    return total
+    last_two = np.uint64(m - 2)  # bits >> last_two holds flips m-1, m
+    return sum(
+        int(np.count_nonzero((scores == 0) & ((bits >> last_two) == 0b01)))
+        for bits, scores in _omega_scores(m)
+    )
 
 
 def _count_rx_closed_form(m: int) -> int:

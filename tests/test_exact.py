@@ -98,6 +98,11 @@ class TestDPExact:
     def test_matches_enumeration_biased(self, n, p):
         assert dp_distribution(n, p) == enumerate_distribution(n, p)
 
+    @pytest.mark.parametrize("p", [HALF, Fraction(1, 3)], ids=str)
+    def test_matches_enumeration_over_several_chunks(self, p):
+        # 2^23 sequences: the enumeration scans them in more than one chunk
+        assert enumerate_distribution(23, p) == dp_distribution(23, p)
+
     def test_series_consistent_with_single_runs(self):
         series = dp_series(40)
         assert len(series) == 40
@@ -152,6 +157,11 @@ class TestDPFloat:
                 single = dp_distribution(n, p, mode="float")
                 last = dp_float_series(n, p)[-1]
                 assert (single.pA, single.pB, single.pTie) == (last.pA, last.pB, last.pTie)
+
+    def test_series_stores_p_as_float(self):
+        series = dp_float_series(5, Fraction(1, 2))
+        assert all(type(f.p) is float and f.p == 0.5 for f in series)
+        assert series[-1] == dp_distribution(5, Fraction(1, 2), mode="float")
 
     def test_sum_near_one(self):
         f = dp_float_series(2000)[-1]

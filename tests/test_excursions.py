@@ -23,8 +23,8 @@ from coinduel import (
     score,
     score_series,
 )
-from coinduel.excursions import _decompose_indexed, _decompose_scalar
 from coinduel.montecarlo import SimConfig, _substream, simulate_game
+from coinduel.verify import _decompose_reference
 
 texts = st.text(alphabet="HT", min_size=1, max_size=120)
 long_texts = st.text(alphabet="HT", min_size=200, max_size=400)
@@ -237,10 +237,45 @@ class TestDecompose:
         seq = parse_sequence(text)
         assert decompose(seq).serialize() == seq
 
-    @given(long_texts)
-    def test_parser_paths_agree(self, text):
+    def test_parser_paths_agree(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, 601):
+            bits = int.from_bytes(rng.bytes((n + 7) // 8), "little") & ((1 << n) - 1)
+            seq = FlipSequence(bits, n)
+            assert decompose(seq) == _decompose_reference(seq), n
+
+    @pytest.mark.parametrize(
+        "text,windows,trailing",
+        [
+            ("H" * 40, [(1, 40, SlotKind.A, None, False)], False),
+            ("T" * 40, [], False),
+            # the B window's score climbs and never comes back to zero
+            ("HT" * 40, [(1, 80, SlotKind.B, None, False)], False),
+            # the A-part closes on the last flip, with no padding or head after it
+            ("HTHHHT", [(1, 4, SlotKind.B, None, True), (4, 6, SlotKind.A, 6, False)], False),
+            ("HTHH", [(1, 4, SlotKind.B, None, True)], True),
+            ("HHTTH", [(1, 5, SlotKind.A, 3, True)], True),
+            ("TTH", [], True),
+            # drifts down by one per period, so the third window never closes
+            (
+                "HTHH" * 25000,
+                [
+                    (1, 4, SlotKind.B, None, True),
+                    (4, 7, SlotKind.A, 6, True),
+                    (7, 10**5, SlotKind.A, None, False),
+                ],
+                False,
+            ),
+        ],
+    )
+    def test_lookup_edges(self, text, windows, trailing):
         seq = parse_sequence(text)
-        assert _decompose_scalar(seq) == _decompose_indexed(seq)
+        d = decompose(seq)
+        got = [(s.start_index, s.end_index, s.kind, s.tau_end, s.complete) for s in d.slots]
+        assert got == windows
+        assert (d.trailing is not None) == trailing
+        assert d.serialize() == seq
+        assert d == _decompose_reference(seq)
 
     @given(texts)
     def test_interior_window_scores(self, text):
@@ -272,6 +307,11 @@ class TestClassifyPosition:
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             classify_position(parse_sequence("HT"), 3)
+
+    @pytest.mark.parametrize("pos", [0, -3, 6])
+    def test_position_class_out_of_range(self, pos):
+        with pytest.raises(IndexError, match=rf"position {pos} outside 1\.\.5"):
+            position_class(decompose(parse_sequence("TTHHT")), pos)
 
     def test_matches_score_sign_exhaustive(self):
         zeroish = (PositionClass.INITIAL_TAILRUN, PositionClass.NEUTRAL_ZERO)
