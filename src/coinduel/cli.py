@@ -25,7 +25,7 @@ from .exact import (
 from .excursions import decompose
 from .core import parse_sequence
 from .montecarlo import DEFAULT_BATCH_SIZE, SimConfig, simulate_game
-from .renewal import asymptotics, pi, renewal_diff, renewal_table, tailwalk
+from .renewal import asymptotics, renewal_diff, renewal_table, tailwalk
 from .verify import run_all
 
 
@@ -144,7 +144,7 @@ def _cmd_renewal(args) -> int:
     if args.format == "csv":
         print("m,count_rx,pi_exact,pi_float")
         for m, count, pi_m in table.rows():
-            print(f"{m},{count},{_frac(pi_m)},{_float_text(pi(m, mode='float'))}")
+            print(f"{m},{count},{_frac(pi_m)},{_float_text(float(pi_m))}")
         return 0
     _emit(
         {
@@ -157,7 +157,7 @@ def _cmd_renewal(args) -> int:
                     "m": m,
                     "count_rx": count,
                     "pi_exact": _frac(pi_m),
-                    "pi_float": pi(m, mode="float"),
+                    "pi_float": float(pi_m),
                 }
                 for m, count, pi_m in table.rows()
             ],

@@ -118,6 +118,12 @@ class TestSemantics:
         first = golden("renewal_m1_8.csv").splitlines()[0]
         assert first == "m,count_rx,pi_exact,pi_float"
 
+    def test_renewal_float_column_is_exact_rounded_once(self):
+        rows = json.loads(run_cli("renewal", "--m-to", "700").stdout)["rows"]
+        assert [row["m"] for row in rows] == list(range(1, 701))
+        for row in rows:
+            assert row["pi_float"] == float(Fraction(row["pi_exact"])), row["m"]
+
     def test_table_rows_match_dp(self):
         lines = golden("table_10_100_10.csv").splitlines()[1:]
         import coinduel
@@ -179,12 +185,18 @@ class TestVerifySubcommand:
 
 class TestImport:
     def test_cli_import_leaves_scipy_unloaded(self):
-        # scipy.special is most of the startup cost; only pi(mode="float")
-        # needs it, so the command line must not pay for it up front
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, coinduel.cli; print('scipy' in sys.modules)"],
-            capture_output=True,
-            text=True,
+        # scipy is not a dependency: float pi runs on the count_rx
+        # recurrence, so neither the import nor the renewal paths load it
+        code = (
+            "import sys\n"
+            "from coinduel.cli import dispatch\n"
+            "print('scipy' in sys.modules)\n"
+            "from coinduel.renewal import pi\n"
+            "pi(10**4, mode='float')\n"
+            "assert dispatch(['renewal', '--m-to', '50']) == 0\n"
+            "print('scipy' in sys.modules)\n"
         )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        lines = proc.stdout.splitlines()
+        assert (lines[0], lines[-1]) == ("False", "False")

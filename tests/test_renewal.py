@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from coinduel import (
     renewal_table,
     tailwalk,
 )
+from coinduel.renewal import _pi_float_terms
 from coinduel.verify import _count_rx_closed_form
 
 
@@ -86,10 +88,14 @@ class TestPi:
         assert pi(2) == Fraction(0)
 
     def test_float_mode_follows_exact(self):
-        for m in range(3, 201):
-            exact = float(pi(m))
-            approx = pi(m, mode="float")
-            assert abs(approx - exact) <= 1e-12 * exact, m
+        # one pass for each side: pi(m) per m would be quadratic
+        exact = [float(p) for p in renewal_table(1, 10**4).pis]
+        approx = list(itertools.islice(_pi_float_terms(), 10**4))
+        for m in (1, 2, 3, 4, 5, 6, 7, 8, 999, 10**4):
+            assert pi(m, mode="float") == approx[m - 1], m
+        assert approx[:8] == exact[:8]
+        for m in range(3, 10**4 + 1):
+            assert abs(approx[m - 1] - exact[m - 1]) <= 1e-13 * exact[m - 1], m
 
     def test_float_mode_zero_below_three(self):
         assert pi(1, mode="float") == 0.0
