@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .exact import (
     DP_EXACT_MAX_N,
+    FloatDistribution,
     dp_distribution,
     dp_float_series,
     dp_series,
@@ -62,58 +63,41 @@ def _emit(record: dict) -> None:
     print(_json_text(record))
 
 
+def _law_record(command: str, method: str, dist) -> dict:
+    """The outcome law of one solver run; floats also carry their error bound."""
+    record = {
+        "command": command,
+        "method": method,
+        "n": dist.n,
+        "p": dist.p,
+        "pA": dist.pA,
+        "pB": dist.pB,
+        "pTie": dist.pTie,
+        "diff": dist.diff,
+    }
+    if isinstance(dist, FloatDistribution):
+        record["rounding_bound"] = dist.rounding_bound
+    return record
+
+
 def _cmd_exact(args) -> int:
-    dist = enumerate_distribution(args.n, Fraction(args.p))
-    _emit(
-        {
-            "command": "exact",
-            "method": "enum",
-            "n": dist.n,
-            "p": _frac(dist.p),
-            "pA": _frac(dist.pA),
-            "pB": _frac(dist.pB),
-            "pTie": _frac(dist.pTie),
-            "diff": _frac(dist.diff),
-        }
-    )
+    _emit(_law_record("exact", "enum", enumerate_distribution(args.n, Fraction(args.p))))
     return 0
 
 
 def _cmd_dp(args) -> int:
     dist = dp_distribution(args.n, Fraction(args.p), mode=args.mode)
-    if args.mode == "exact":
-        _emit(
-            {
-                "command": "dp",
-                "method": "dp-exact",
-                "n": dist.n,
-                "p": _frac(dist.p),
-                "pA": _frac(dist.pA),
-                "pB": _frac(dist.pB),
-                "pTie": _frac(dist.pTie),
-                "diff": _frac(dist.diff),
-            }
-        )
-    else:
-        _emit(
-            {
-                "command": "dp",
-                "method": "dp-float",
-                "n": dist.n,
-                "p": dist.p,
-                "pA": dist.pA,
-                "pB": dist.pB,
-                "pTie": dist.pTie,
-                "diff": dist.diff,
-                "rounding_bound": dist.rounding_bound,
-            }
-        )
+    _emit(_law_record("dp", f"dp-{args.mode}", dist))
     return 0
 
 
 def _cmd_mc(args) -> int:
     config = SimConfig(
-        n=args.n, trials=args.trials, seed=args.seed, p=args.p, batch_size=args.batch_size
+        n=args.n,
+        trials=args.trials,
+        seed=args.seed,
+        p=float(Fraction(args.p)),
+        batch_size=args.batch_size,
     )
     result = simulate_game(config)
     _emit(
@@ -156,7 +140,7 @@ def _cmd_renewal(args) -> int:
                 {
                     "m": m,
                     "count_rx": count,
-                    "pi_exact": _frac(pi_m),
+                    "pi_exact": pi_m,
                     "pi_float": float(pi_m),
                 }
                 for m, count, pi_m in table.rows()
@@ -179,7 +163,7 @@ def _cmd_diff(args) -> int:
             "method": tag,
             "n": args.n,
             "p": "1/2",
-            "diff": _frac(value),
+            "diff": value,
         }
     )
     return 0
@@ -304,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--trials", type=int, required=True)
     s.add_argument("--seed", type=int, required=True)
-    s.add_argument("--p", type=float, default=0.5)
+    s.add_argument("--p", default="1/2")
     s.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE)
     s.set_defaults(handler=_cmd_mc)
 
@@ -354,7 +338,7 @@ def dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (ValueError, IndexError, ZeroDivisionError) as exc:
+    except (ValueError, IndexError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

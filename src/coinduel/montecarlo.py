@@ -55,9 +55,10 @@ class SimResult:
     stderr_tie: float
 
 
-def _substream(seed: int, batch: int) -> np.random.Generator:
+def _substream(seed: int, *spawn_key: int) -> np.random.Generator:
+    """A PCG64 stream; the empty key gives SeedSequence(entropy=seed) itself."""
     return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(batch,)))
+        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=spawn_key))
     )
 
 

@@ -18,6 +18,8 @@ from typing import Iterator, Union
 
 import numpy as np
 
+from .montecarlo import _substream
+
 ASYMPTOTIC_C = 0.5 / math.sqrt(math.pi)  # 1/(2*sqrt(pi)) ~ 0.28209479
 
 BINOM_EXACT_MAX_K = 64
@@ -188,7 +190,7 @@ def tailwalk(steps: int, seed: int) -> WalkReport:
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed)))
+    rng = _substream(seed)
     runs = rng.geometric(0.5, size=steps) - 1
     jumps = np.where(runs >= 1, 2 - runs, 0)
     walk = np.cumsum(jumps)

@@ -41,7 +41,7 @@ from .excursions import (
     enumerate_excursions,
     PositionClass,
 )
-from .montecarlo import SimConfig, simulate_game
+from .montecarlo import SimConfig, _substream, simulate_game
 from .renewal import ASYMPTOTIC_C, asymptotics, count_rx, pi, renewal_diff
 
 _Check = Callable[[], tuple[bool, str]]
@@ -52,10 +52,6 @@ class InvariantResult:
     name: str
     ok: bool
     detail: str
-
-
-def _rng(tag: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=tag)))
 
 
 def _random_sequence(rng: np.random.Generator, length: int) -> FlipSequence:
@@ -74,7 +70,7 @@ def _check_runs_formula() -> tuple[bool, str]:
             if score_via_runs(seq) != score_series(seq)[-1]:
                 return False, f"mismatch at {seq}"
             checked += 1
-    rng = _rng(101)
+    rng = _substream(101)
     for _ in range(10**5):
         seq = _random_sequence(rng, int(rng.integers(17, 129)))
         if score_via_runs(seq) != score_series(seq)[-1]:
@@ -85,7 +81,7 @@ def _check_runs_formula() -> tuple[bool, str]:
 
 def _check_reversal_pattern_law() -> tuple[bool, str]:
     checked = 0
-    rng = _rng(102)
+    rng = _substream(102)
     seqs = (
         FlipSequence(b, n) for n in range(1, 13) for b in range(1 << n)
     )
@@ -115,7 +111,7 @@ def _check_reversal_score_h_to_h() -> tuple[bool, str]:
 
 
 def _check_additivity() -> tuple[bool, str]:
-    rng = _rng(103)
+    rng = _substream(103)
     trials = 10**4
     for _ in range(trials):
         n = int(rng.integers(2, 257))
@@ -186,7 +182,7 @@ def _check_round_trip() -> tuple[bool, str]:
             seq = FlipSequence(b, n)
             if decompose(seq).serialize() != seq:
                 return False, f"round-trip failed at {seq}"
-    rng = _rng(104)
+    rng = _substream(104)
     randoms = 10**5
     for _ in range(randoms):
         seq = _random_sequence(rng, 1000)
@@ -280,7 +276,7 @@ def _check_parser_equivalence() -> tuple[bool, str]:
             seq = FlipSequence(b, n)
             if decompose(seq) != _decompose_reference(seq):
                 return False, f"parsers disagree at {seq}"
-    rng = _rng(105)
+    rng = _substream(105)
     trials = 2000
     for _ in range(trials):
         seq = _random_sequence(rng, int(rng.integers(240, 521)))

@@ -1,147 +1,44 @@
 """Acceptance gate: the eleven release criteria, one test per criterion.
 
-Each criterion lives in a check_* helper that raises AssertionError with a
-measured-value message and returns a one-line detail on success.  Run under
-pytest (`pytest tests/test_acceptance.py -v`, one PASS/FAIL line per
-criterion) or standalone (`python3 tests/test_acceptance.py`), which prints
-explicit PASS/FAIL lines and exits nonzero on any failure.
+Nine criteria name `verify` registry checks: each looks its checks up when it
+runs, asserts they hold and returns the registry's detail text.  Criteria 09
+(simulation calibration) and 11 (the tail walk) have no registry counterpart
+and are written out here.  A criterion raises AssertionError with a measured
+value, or returns a one-line detail.  Run under pytest
+(`pytest tests/test_acceptance.py -v`) or standalone
+(`python3 tests/test_acceptance.py`), which prints PASS/FAIL lines and exits
+nonzero on any failure.
 """
 
-import math
 import sys
 from fractions import Fraction
 
-from coinduel import (
-    ASYMPTOTIC_C,
-    ExcursionKind,
-    FlipSequence,
-    PositionClass,
-    SimConfig,
-    classify_position,
-    count_rx,
-    dp_distribution,
-    dp_float_series,
-    dp_series,
-    enumerate_distribution,
-    enumerate_excursions,
-    jump_mean_truncated,
-    pi,
-    renewal_diff,
-    reverse,
-    simulate_game,
-    tailwalk,
-)
-from coinduel.verify import _brute_count_rx
+import pytest
+
+from coinduel import SimConfig, dp_distribution, jump_mean_truncated, simulate_game, tailwalk
+from coinduel import verify
 
 MC_CASES = ((3, 101), (50, 102), (100, 103))
 WALK_SEEDS = tuple(range(20))
 
 
-def check_dp_matches_enumeration() -> str:
-    """Exact DP reproduces exhaustive enumeration for n <= 20 at three coins."""
-    coins = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3))
-    cases = 0
-    for p in coins:
-        for n in range(1, 21):
-            dp = dp_distribution(n, p)
-            brute = enumerate_distribution(n, p)
-            assert dp == brute, f"dp != enumeration at n={n}, p={p}"
-            cases += 1
-    d3 = dp_distribution(3).diff
-    assert d3 == Fraction(1, 8), f"diff at n=3 is {d3}, want 1/8"
-    return f"{cases} (n, p) cases identical; diff(3) = 1/8 exactly"
+def registry(*names):
+    """A criterion that runs the named verify checks and joins their details."""
 
+    def check() -> str:
+        # looked up at run time: a renamed check fails only its own criterion
+        checks = dict(verify.CHECKS)
+        details = []
+        for name in names:
+            if name not in checks:
+                raise AssertionError(f"no verify check named {name}")
+            ok, detail = checks[name]()
+            if not ok:
+                raise AssertionError(f"{name}: {detail}")
+            details.append(detail)
+        return "; ".join(details)
 
-def check_bob_leads_from_three_flips() -> str:
-    """pB > pA as exact rationals for every 3 <= n <= 2000; ties at n = 1, 2."""
-    series = dp_series(2000)
-    for n, dist in enumerate(series, start=1):
-        if n <= 2:
-            assert dist.pA == dist.pB, f"expected pA == pB at n={n}"
-        else:
-            assert dist.pB > dist.pA, f"pB <= pA at n={n}"
-    margin = float(series[-1].diff)
-    return f"strict pB > pA for n = 3..2000 (gap {margin:.3e} at 2000); equality at n = 1, 2"
-
-
-def check_renewal_convolution_equals_dp() -> str:
-    """The renewal convolution reproduces the DP difference exactly, n <= 200."""
-    series = dp_series(200)
-    for n in range(3, 201):
-        conv = renewal_diff(n)
-        direct = series[n - 1].diff
-        assert conv == direct, f"convolution {conv} != dp {direct} at n={n}"
-    return "renewal_diff(n) == dp diff as rationals for n = 3..200"
-
-
-def check_renewal_counts_match_brute_force() -> str:
-    """count_rx, computed by its recurrence, agrees with direct enumeration
-    through m = 24."""
-    for m in range(1, 25):
-        recurrence = count_rx(m)
-        brute = _brute_count_rx(m)
-        assert recurrence == brute, f"count_rx({m}) = {recurrence}, enumeration says {brute}"
-    first = tuple(count_rx(m) for m in range(3, 7))
-    assert first == (1, 1, 1, 4), f"count_rx(3..6) = {first}, want (1, 1, 1, 4)"
-    return f"recurrence (count_rx) == enumeration for m = 1..24; count_rx(3..6) = {first}"
-
-
-def check_pi_sqrt_scaling() -> str:
-    """pi(m)·sqrt(m)/c is within 5% at m = 1e5 and the deviation shrinks."""
-    ms = (10**2, 10**3, 10**4, 10**5)
-    ratios = [pi(m, mode="float") * math.sqrt(m) / ASYMPTOTIC_C for m in ms]
-    devs = [abs(r - 1.0) for r in ratios]
-    assert 0.95 <= ratios[-1] <= 1.05, f"ratio at m=1e5 is {ratios[-1]:.6f}"
-    for a, b in zip(devs, devs[1:]):
-        assert b < a, f"deviation not decreasing: {devs}"
-    return f"ratio at m = 1e5 is {ratios[-1]:.6f}; deviations {['%.1e' % d for d in devs]}"
-
-
-def check_sqrt_n_laws_at_ten_thousand() -> str:
-    """Float DP at n = 1e4 matches the sqrt(n) laws within 10%."""
-    n = 10**4
-    dist = dp_float_series(n)[-1]
-    root = math.sqrt(n)
-    diff_ratio = dist.diff * root / ASYMPTOTIC_C
-    tie_ratio = dist.pTie * root / (2.0 * ASYMPTOTIC_C)
-    assert 0.9 <= diff_ratio <= 1.1, f"diff ratio {diff_ratio:.4f}"
-    assert 0.9 <= tie_ratio <= 1.1, f"tie ratio {tie_ratio:.4f}"
-    return f"diff·sqrt(n)/c = {diff_ratio:.4f}, tie·sqrt(n)/2c = {tie_ratio:.4f}"
-
-
-def check_position_classifier_exhaustive() -> str:
-    """Final-position class matches the score sign on every sequence, n <= 16."""
-    zeroish = (PositionClass.INITIAL_TAILRUN, PositionClass.NEUTRAL_ZERO)
-    cases = 0
-    for n in range(1, 17):
-        window = (1 << (n - 1)) - 1
-        for bits in range(1 << n):
-            ht = (bits & ~(bits >> 1) & window).bit_count()
-            hh = (bits & (bits >> 1) & window).bit_count()
-            s = ht - hh
-            tag = classify_position(FlipSequence(bits, n), n)
-            if s > 0:
-                ok = tag is PositionClass.B_WINNING
-            elif s < 0:
-                ok = tag is PositionClass.A_WINNING
-            else:
-                ok = tag in zeroish
-            assert ok, f"class {tag} vs score {s} on {FlipSequence(bits, n)}"
-            cases += 1
-    assert cases == 2**17 - 2, f"case count {cases}"
-    return f"all {cases} sequences with n <= 16 classified consistently"
-
-
-def check_reversal_bijection() -> str:
-    """Reversal is a bijection between the two excursion families, k <= 14."""
-    sizes = []
-    for k in range(2, 15):
-        b_side = enumerate_excursions(k, ExcursionKind.B)
-        a_side = enumerate_excursions(k, ExcursionKind.A_HAT)
-        assert len(b_side) == len(a_side), f"cardinalities differ at k={k}"
-        assert {reverse(w) for w in b_side} == a_side, f"not onto at k={k}"
-        sizes.append(len(b_side))
-    return f"families match under reversal for k = 2..14; sizes {sizes}"
+    return check
 
 
 def check_simulation_calibration() -> str:
@@ -166,14 +63,6 @@ def check_simulation_calibration() -> str:
     return f"3 runs x 1e6 trials within 4 SE (worst z = {worst:.2f}); reruns identical"
 
 
-def check_biased_coin_favors_alice() -> str:
-    """At p = 0.6 Alice's win probability climbs with n and clears 0.95."""
-    values = {n: dp_float_series(n, 0.6)[-1].pA for n in (50, 100, 200, 500)}
-    assert values[50] < values[100] < values[200] < values[500], f"not increasing: {values}"
-    assert values[500] > 0.95, f"pA(500) = {values[500]:.4f}"
-    return f"pA rises {values[50]:.3f} -> {values[500]:.3f} over n = 50..500"
-
-
 def check_tail_walk_zero_mean_and_recurrence() -> str:
     """The jump law is centered to below 2^-50 and every walk revisits 0."""
     mean = jump_mean_truncated()
@@ -184,74 +73,42 @@ def check_tail_walk_zero_mean_and_recurrence() -> str:
 
 
 CRITERIA = [
-    ("dp-matches-enumeration", check_dp_matches_enumeration),
-    ("bob-leads-from-three-flips", check_bob_leads_from_three_flips),
-    ("renewal-convolution-equals-dp", check_renewal_convolution_equals_dp),
-    ("renewal-counts-match-brute-force", check_renewal_counts_match_brute_force),
-    ("pi-sqrt-scaling", check_pi_sqrt_scaling),
-    ("sqrt-n-laws-at-ten-thousand", check_sqrt_n_laws_at_ten_thousand),
-    ("position-classifier-exhaustive", check_position_classifier_exhaustive),
-    ("reversal-bijection", check_reversal_bijection),
+    ("dp-matches-enumeration", registry("exact.dp-matches-enumeration")),
+    (
+        "bob-leads-from-three-flips",
+        registry("exact.strict-ordering-from-n-3", "exact.equality-at-n-1-2"),
+    ),
+    ("renewal-convolution-equals-dp", registry("renewal.bridge-identity-convolution-vs-dp")),
+    ("renewal-counts-match-brute-force", registry("renewal.count-closed-form-vs-brute-force")),
+    ("pi-sqrt-scaling", registry("renewal.pi-sqrt-m-approaches-c")),
+    ("sqrt-n-laws-at-ten-thousand", registry("renewal.desk-scale-sqrt-n-laws")),
+    (
+        "position-classifier-exhaustive",
+        registry("excursions.position-classifier-matches-score-sign"),
+    ),
+    ("reversal-bijection", registry("excursions.reversal-bijection-b-to-ahat")),
     ("simulation-calibration", check_simulation_calibration),
-    ("biased-coin-favors-alice", check_biased_coin_favors_alice),
+    ("biased-coin-favors-alice", registry("exact.bias-pa-increasing-when-p-above-half")),
     ("tail-walk-zero-mean-and-recurrence", check_tail_walk_zero_mean_and_recurrence),
 ]
 
 
-def test_criterion_01_dp_matches_enumeration():
-    check_dp_matches_enumeration()
-
-
-def test_criterion_02_bob_leads_from_three_flips():
-    check_bob_leads_from_three_flips()
-
-
-def test_criterion_03_renewal_convolution_equals_dp():
-    check_renewal_convolution_equals_dp()
-
-
-def test_criterion_04_renewal_counts_match_brute_force():
-    check_renewal_counts_match_brute_force()
-
-
-def test_criterion_05_pi_sqrt_scaling():
-    check_pi_sqrt_scaling()
-
-
-def test_criterion_06_sqrt_n_laws_at_ten_thousand():
-    check_sqrt_n_laws_at_ten_thousand()
-
-
-def test_criterion_07_position_classifier_exhaustive():
-    check_position_classifier_exhaustive()
-
-
-def test_criterion_08_reversal_bijection():
-    check_reversal_bijection()
-
-
-def test_criterion_09_simulation_calibration():
-    check_simulation_calibration()
-
-
-def test_criterion_10_biased_coin_favors_alice():
-    check_biased_coin_favors_alice()
-
-
-def test_criterion_11_tail_walk_zero_mean_and_recurrence():
-    check_tail_walk_zero_mean_and_recurrence()
+@pytest.mark.parametrize("check", [fn for _, fn in CRITERIA], ids=[name for name, _ in CRITERIA])
+def test_criterion(check):
+    check()
 
 
 def main() -> int:
     failures = 0
     for name, fn in CRITERIA:
         try:
-            detail = fn()
+            ok, detail = True, fn()
         except AssertionError as exc:
-            print(f"FAIL {name}: {exc}")
-            failures += 1
-        else:
-            print(f"PASS {name}: {detail}")
+            ok, detail = False, str(exc)
+        except Exception as exc:  # a crash is a failure, not an abort
+            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        failures += not ok
     total = len(CRITERIA)
     print(f"{total - failures}/{total} acceptance criteria hold")
     return 1 if failures else 0

@@ -85,6 +85,10 @@ class TestSemantics:
         doc = json.loads(golden("mc_n3_t1000_s7.json"))
         assert doc["wins_a"] + doc["wins_b"] + doc["ties"] == doc["trials"]
 
+    def test_mc_p_takes_a_fraction_like_dp(self):
+        args = ("mc", "--n", "3", "--trials", "1000", "--seed", "7", "--p")
+        assert run_cli(*args, "1/2").stdout == run_cli(*args, "0.5").stdout
+
     def test_decompose_fields(self):
         doc = json.loads(golden("decompose_tthht.json"))
         assert doc["initial_tailrun_len"] == 2
@@ -152,9 +156,12 @@ class TestDeterminism:
 
 class TestExitCodes:
     def test_domain_error_is_one(self):
-        proc = run_cli("dp", "--n", "0", check=False)
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error:")
+        # --p 1e400 overflows a float once read as a Fraction
+        mc_overflow = ("mc", "--n", "3", "--trials", "9", "--seed", "1", "--p", "1e400")
+        for args in (("dp", "--n", "0"), mc_overflow):
+            proc = run_cli(*args, check=False)
+            assert proc.returncode == 1
+            assert proc.stderr.startswith("error:")
 
     def test_parse_error_names_position(self):
         proc = run_cli("decompose", "HXT", check=False)
