@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -53,7 +53,8 @@ class Slot:
 
     For kind A the window content is an A-hat excursion and tau_end marks
     the final flip of its A-part.  complete is False when the host sequence
-    ran out before the window closed.
+    ran out before the window closed.  source is the parsed sequence itself,
+    so the window's flips are stored once, not copied into every slot.
     """
 
     start_index: int
@@ -61,7 +62,12 @@ class Slot:
     kind: SlotKind
     tau_end: int | None
     complete: bool
-    content: FlipSequence
+    source: FlipSequence = field(repr=False)
+
+    @property
+    def content(self) -> FlipSequence:
+        """The window's flips, start_index..end_index of source."""
+        return self.source.window(self.start_index, self.end_index)
 
     def to_dict(self) -> dict:
         return {
@@ -121,53 +127,24 @@ _ENDS = {
 }
 
 
-def _is_signed(bits: int, n: int, kind: ExcursionKind) -> bool:
-    """B or A excursion test: the fixed end pairs, a window score strictly
-    positive (B) or negative (A) inside, and zero at the end."""
-    first, last = _ENDS[kind]
-    if bits & 3 != first or (bits >> (n - 2)) & 3 != last:
-        return False
-    sign = 1 if kind is ExcursionKind.B else -1
-    s = 0
-    prev = 1
-    b = bits
-    for l in range(2, n + 1):
-        b >>= 1
-        cur = b & 1
-        if prev:
-            s += 1 - 2 * cur
-        prev = cur
-        if l < n and s * sign <= 0:
-            return False
-    return s == 0
-
-
-def _is_a_hat(bits: int, n: int) -> bool:
-    if n < 4 or not (bits >> (n - 1)) & 1:
-        return False
-    m = n - 1
-    if (bits >> (m - 1)) & 1:
-        return False  # the part before the closing head must end in tails
-    while m and not (bits >> (m - 1)) & 1:
-        m -= 1
-    # m is the last head before the padding; the A-part keeps one tail after it
-    return m >= 2 and _is_signed(bits & ((1 << (m + 1)) - 1), m + 1, ExcursionKind.A)
-
-
-def _is_kind(bits: int, n: int, kind: ExcursionKind) -> bool:
-    if kind is ExcursionKind.A_HAT:
-        return _is_a_hat(bits, n)
-    return _is_signed(bits, n, kind)
-
-
 def classify_excursion(seq: FlipSequence) -> ExcursionKind:
-    """Which excursion family seq belongs to, or NONE."""
+    """Which excursion family seq belongs to, or NONE.
+
+    An excursion is a parse that starts on flip 1 and is one window: a
+    closed B window, a closed A window (A-part, tail padding, closing head:
+    an A-hat), or an open A window whose A-part ends on flip n.
+    """
     n = seq.length
     if n < 2:
         raise ValueError("an excursion candidate needs at least 2 flips")
-    for kind in (ExcursionKind.B, ExcursionKind.A, ExcursionKind.A_HAT):
-        if _is_kind(seq.bits, n, kind):
-            return kind
+    d = decompose(seq)
+    if d.first_head_pos != 1 or len(d.slots) != 1:
+        return ExcursionKind.NONE
+    (w,) = d.slots
+    if w.complete:
+        return ExcursionKind.B if w.kind is SlotKind.B else ExcursionKind.A_HAT
+    if w.kind is SlotKind.A and w.tau_end == n:
+        return ExcursionKind.A
     return ExcursionKind.NONE
 
 
@@ -188,8 +165,9 @@ def enumerate_excursions(k: int, kind: ExcursionKind | str) -> set[FlipSequence]
         mask = (scores == 0) & ((bits & np.uint64(3)) == first)
         mask &= ((bits >> top) & np.uint64(3)) == last
         for b in bits[mask].tolist():
-            if _is_kind(b, k, kind):
-                found.add(FlipSequence(b, k))
+            seq = FlipSequence(b, k)
+            if classify_excursion(seq) is kind:
+                found.add(seq)
     return found
 
 
@@ -225,7 +203,7 @@ def decompose(seq: FlipSequence) -> Decomposition:
     e = first_head
     while True:
         if e == n:
-            trailing = Slot(e, e, SlotKind.UNDETERMINED, None, False, seq.window(e, e))
+            trailing = Slot(e, e, SlotKind.UNDETERMINED, None, False, seq)
             break
         a_type = text[e] == HEADS  # the flip after the head picks the form
         try:
@@ -234,21 +212,21 @@ def decompose(seq: FlipSequence) -> Decomposition:
             zero_at = 0
         if not a_type:
             if zero_at:
-                slots.append(Slot(e, zero_at, SlotKind.B, None, True, seq.window(e, zero_at)))
+                slots.append(Slot(e, zero_at, SlotKind.B, None, True, seq))
                 e = zero_at
                 continue
-            slots.append(Slot(e, n, SlotKind.B, None, False, seq.window(e, n)))
+            slots.append(Slot(e, n, SlotKind.B, None, False, seq))
             break
         if not zero_at:
-            slots.append(Slot(e, n, SlotKind.A, None, False, seq.window(e, n)))
+            slots.append(Slot(e, n, SlotKind.A, None, False, seq))
             break
         # zero_at closes the A-part; its tail padding runs to the next head
         f = text.find(HEADS, zero_at) + 1
         if f:
-            slots.append(Slot(e, f, SlotKind.A, zero_at, True, seq.window(e, f)))
+            slots.append(Slot(e, f, SlotKind.A, zero_at, True, seq))
             e = f
             continue
-        slots.append(Slot(e, n, SlotKind.A, zero_at, False, seq.window(e, n)))
+        slots.append(Slot(e, n, SlotKind.A, zero_at, False, seq))
         break
     return Decomposition(n, first_head - 1, first_head, tuple(slots), trailing)
 

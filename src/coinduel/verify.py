@@ -229,7 +229,7 @@ def _decompose_reference(seq: FlipSequence) -> Decomposition:
     e = first_head
     while True:
         if e == n:
-            trailing = Slot(e, e, SlotKind.UNDETERMINED, None, False, seq.window(e, e))
+            trailing = Slot(e, e, SlotKind.UNDETERMINED, None, False, seq)
             break
         a_type = (bits >> e) & 1 == 1  # the flip after the head picks the form
         # window score from the head at e; first return to zero closes B or tau
@@ -248,13 +248,13 @@ def _decompose_reference(seq: FlipSequence) -> Decomposition:
                 break
         if not a_type:
             if zero_at:
-                slots.append(Slot(e, zero_at, SlotKind.B, None, True, seq.window(e, zero_at)))
+                slots.append(Slot(e, zero_at, SlotKind.B, None, True, seq))
                 e = zero_at
                 continue
-            slots.append(Slot(e, n, SlotKind.B, None, False, seq.window(e, n)))
+            slots.append(Slot(e, n, SlotKind.B, None, False, seq))
             break
         if not zero_at:
-            slots.append(Slot(e, n, SlotKind.A, None, False, seq.window(e, n)))
+            slots.append(Slot(e, n, SlotKind.A, None, False, seq))
             break
         tau_end = zero_at
         j = tau_end
@@ -262,10 +262,10 @@ def _decompose_reference(seq: FlipSequence) -> Decomposition:
             j += 1
         if j < n:
             f = j + 1
-            slots.append(Slot(e, f, SlotKind.A, tau_end, True, seq.window(e, f)))
+            slots.append(Slot(e, f, SlotKind.A, tau_end, True, seq))
             e = f
             continue
-        slots.append(Slot(e, n, SlotKind.A, tau_end, False, seq.window(e, n)))
+        slots.append(Slot(e, n, SlotKind.A, tau_end, False, seq))
         break
     return Decomposition(n, first_head - 1, first_head, tuple(slots), trailing)
 

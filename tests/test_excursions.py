@@ -57,7 +57,7 @@ class TestClassify:
 
     def test_definition_agreement_exhaustive(self):
         # re-derive each tag from raw score series and endpoints
-        for n in range(2, 13):
+        for n in range(2, 15):
             for bits in range(1 << n):
                 seq = FlipSequence(bits, n)
                 text = str(seq)
@@ -113,7 +113,7 @@ class TestEnumerate:
         assert enumerate_excursions(2, "B") == set()
 
     def test_matches_classifier(self):
-        for k in range(2, 11):
+        for k in range(2, 13):
             for kind in (ExcursionKind.B, ExcursionKind.A, ExcursionKind.A_HAT):
                 expected = {
                     FlipSequence(b, k)
@@ -243,6 +243,14 @@ class TestDecompose:
             bits = int.from_bytes(rng.bytes((n + 7) // 8), "little") & ((1 << n) - 1)
             seq = FlipSequence(bits, n)
             assert decompose(seq) == _decompose_reference(seq), n
+
+    def test_repr_linear_in_length(self):
+        # slots hold the parsed sequence by reference and leave it out of repr
+        n = 10**4
+        bits = int.from_bytes(_substream(8).bytes(n // 8), "little")
+        d = decompose(FlipSequence(bits, n))
+        assert len(d.slots) > 50
+        assert len(repr(d)) < 3 * n
 
     @pytest.mark.parametrize(
         "text,windows,trailing",
