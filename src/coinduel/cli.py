@@ -20,13 +20,12 @@ from .exact import (
     FloatDistribution,
     dp_distribution,
     dp_float_series,
-    dp_series,
     enumerate_distribution,
 )
 from .excursions import decompose
 from .core import parse_sequence
 from .montecarlo import DEFAULT_BATCH_SIZE, SimConfig, simulate_game
-from .renewal import asymptotics, renewal_diff, renewal_table, tailwalk
+from .renewal import asymptotics, fair_scan, renewal_diff, renewal_table, tailwalk
 from .verify import run_all
 
 
@@ -181,24 +180,33 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _table_rows(n_from: int, n_to: int, step: int):
-    # one forward pass covers the whole sweep; exact rationals when in reach
+def _table_laws(n_from: int, n_to: int, step: int):
+    """(n, method, pA, pB, pTie, diff) at n = n_from, n_from + step, ... <= n_to.
+
+    One forward pass covers the whole sweep: the fair-coin recurrence, each
+    requested row rounded once from its exact counts, while in exact reach;
+    the float DP above that.
+    """
     if n_to <= DP_EXACT_MAX_N:
-        series = dp_series(n_to)
-        method = "dp-exact"
+        for n, below, equal, above in fair_scan(n_to):
+            if n >= n_from and (n - n_from) % step == 0:
+                den = 1 << n
+                yield n, "recurrence", below / den, above / den, equal / den, (above - below) / den
     else:
-        series = dp_float_series(n_to)
-        method = "dp-float"
-    for n in range(n_from, n_to + 1, step):
-        dist = series[n - 1]
+        for dist in dp_float_series(n_to)[n_from - 1 :: step]:
+            yield dist.n, "dp-float", dist.pA, dist.pB, dist.pTie, dist.diff
+
+
+def _table_rows(n_from: int, n_to: int, step: int):
+    for n, method, pA, pB, pTie, diff in _table_laws(n_from, n_to, step):
         report = asymptotics(n)
         yield {
             "n": n,
             "method": method,
-            "pA": float(dist.pA),
-            "pB": float(dist.pB),
-            "pTie": float(dist.pTie),
-            "diff": float(dist.diff),
+            "pA": pA,
+            "pB": pB,
+            "pTie": pTie,
+            "diff": diff,
             "tie_asym": report.tie_approx,
             "diff_asym": report.diff_approx,
         }

@@ -5,6 +5,8 @@ count_rx(m) counts the length-m sequences that end in HT with total score
 zero; pi(m) = 2^(1-m) count_rx(m) is the probability that the fair stream
 renews at epoch m.  Convolving pi against (1/2)^(k+1) recovers pB - pA
 exactly, and pi(m) ~ c/√m with c = 1/(2√π) drives every asymptotic here.
+The same prefix sum and a recurrence for the tie mass give the whole exact
+fair-coin law (fair_scan) in O(n) steps.
 """
 
 from __future__ import annotations
@@ -59,6 +61,60 @@ def _count_rx_terms() -> Iterator[int]:
         yield y_m >> 1  # y_{m+1} = 2 count_rx(m+1)
 
 
+def _tie_terms() -> Iterator[int]:
+    """T_1, T_2, ... in order, with T_n = 2^n pTie(n) at p = 1/2, by a linear recurrence.
+
+    Write M(z) = [[p/z, q z], [p, q]] for one flip's step in (last flip,
+    score); then sum_n x^n E[z^(S_n)] = x [p, q] (I - x M(z))^(-1) [1, 1]^T.
+    At p = q = 1/2 and x = 2u its constant term in z is G(u) = sum_n T_n u^n,
+    the sum of the residues of that expression divided by z at z = 0 and at
+    the root z_0 of its denominator that tends to 0 with u:
+
+        G = [(1+2u) sqrt(D) - (1 - 3u + 2u^2 - 4u^3 + 8u^4)] / (2D),
+        D = (1-u)(1-2u)(1+u+2u^2).
+
+    h = (1+2u) sqrt(D) has h'/h = 2/(1+2u) + D'/(2D), and substituting
+    h = 2DG + P, with P the polynomial above, gives
+
+        2(1+2u) D G' + [(1+2u) D' - 4D] G = 2(1-u)(5+6u+12u^2+8u^3) - 6/(1-u).
+
+    The coefficient of u^n on both sides gives, for every n >= 5,
+
+        2(n+1) T_{n+1} = 6 T_n + 6(n-2) T_{n-1} + 4(n+1) T_{n-2}
+                         + 8(n-4) T_{n-3} - 16(n-3) T_{n-4} - 6,
+
+    from T_1..T_5 = 2, 2, 3, 6, 9.  The division is exact because the T_n
+    are integers.  Only the last five terms are kept.
+    """
+    t_4, t_3, t_2, t_1, t_0 = 2, 2, 3, 6, 9  # T_{n-4}, ..., T_n at n = 5
+    yield from (t_4, t_3, t_2, t_1, t_0)
+    for n in itertools.count(5):
+        t_4, t_3, t_2, t_1, t_0 = t_3, t_2, t_1, t_0, (
+            6 * t_0
+            + 6 * (n - 2) * t_1
+            + 4 * (n + 1) * t_2
+            + 8 * (n - 4) * t_3
+            - 16 * (n - 3) * t_4
+            - 6
+        ) // (2 * (n + 1))
+        yield t_0
+
+
+def fair_scan(n: int) -> Iterator[tuple[int, int, int, int]]:
+    """The exact fair-coin law for k = 1..n as (k, below, equal, above) over 2^k.
+
+    These are the tuples exact._dp_scan(n, Fraction(1, 2)) yields, in O(n)
+    recurrence steps: equal = T_k from _tie_terms, above - below = D_k is the
+    prefix sum of count_rx(1..k) (renewal_diff's numerator), and the three
+    counts add up to 2^k.
+    """
+    d_k = 0
+    for k, tie, count in zip(range(1, n + 1), _tie_terms(), _count_rx_terms()):
+        d_k += count
+        rest = (1 << k) - tie
+        yield k, (rest - d_k) >> 1, tie, (rest + d_k) >> 1
+
+
 def _pi_float_terms() -> Iterator[float]:
     """pi(1), pi(2), ... in floats: the recurrence of _count_rx_terms over 2^(m+1).
 
@@ -79,12 +135,13 @@ def _pi_float_terms() -> Iterator[float]:
         yield u_m
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1024)
 def count_rx(m: int) -> int:
     """Number of sequences in Omega_m that end HT with score 0.
 
     Read off _count_rx_terms, the recurrence from the generating function;
     the binomial sum it comes from stays in the verify registry as an oracle.
+    The last 1024 point values asked for are memoised.
     """
     if m < 1:
         raise ValueError("m must be >= 1")

@@ -25,6 +25,7 @@ from .core import (
     score_via_runs,
 )
 from .exact import (
+    _dp_scan,
     _omega_scores,
     dp_distribution,
     dp_float_series,
@@ -42,7 +43,7 @@ from .excursions import (
     PositionClass,
 )
 from .montecarlo import SimConfig, _substream, simulate_game
-from .renewal import ASYMPTOTIC_C, asymptotics, count_rx, pi, renewal_diff
+from .renewal import ASYMPTOTIC_C, asymptotics, count_rx, fair_scan, pi, renewal_diff
 
 _Check = Callable[[], tuple[bool, str]]
 
@@ -301,10 +302,9 @@ def _check_dp_equals_enumeration() -> tuple[bool, str]:
 
 
 def _check_strict_ordering() -> tuple[bool, str]:
-    series = dp_series(2000)
-    for dist in series:
-        if dist.n >= 3 and not dist.pB > dist.pA:
-            return False, f"pB <= pA at n = {dist.n}"
+    for k, below, _, above in fair_scan(2000):
+        if k >= 3 and not above > below:
+            return False, f"pB <= pA at n = {k}"
     return True, "pB > pA exactly, for all 3 <= n <= 2000"
 
 
@@ -343,13 +343,18 @@ def _check_bias_increasing() -> tuple[bool, str]:
 
 
 def _check_bridge_identity() -> tuple[bool, str]:
-    series = dp_series(200)
-    for dist in series:
-        if dist.n < 3:
-            continue
-        if renewal_diff(dist.n) != dist.diff:
-            return False, f"convolution != DP difference at n = {dist.n}"
-    return True, "renewal convolution equals DP difference exactly, 3 <= n <= 200"
+    # one exact DP pass is the oracle for both the recurrence law and the
+    # convolution
+    for dp_row, rec_row in zip(_dp_scan(2000, Fraction(1, 2)), fair_scan(2000), strict=True):
+        k, below, _, above = dp_row
+        if rec_row != dp_row:
+            return False, f"recurrence law != DP law at n = {k}"
+        if 3 <= k <= 200 and renewal_diff(k) != Fraction(above - below, 1 << k):
+            return False, f"convolution != DP difference at n = {k}"
+    return True, (
+        "recurrence law equals DP law exactly for n <= 2000; "
+        "renewal convolution equals DP difference, 3 <= n <= 200"
+    )
 
 
 def _brute_count_rx(m: int) -> int:

@@ -1,4 +1,5 @@
-"""End-to-end checks of the command line, run through subprocess.
+"""End-to-end checks of the command line, run through subprocess (and a
+few through `cli.dispatch` in-process, where start-up would dominate).
 
 Golden files under tests/goldens/ were produced by the CLI itself and then
 frozen after the values were verified against the library oracles; the
@@ -137,6 +138,32 @@ class TestSemantics:
             dist = coinduel.dp_distribution(int(n))
             assert float(pa) == pytest.approx(float(dist.pA), rel=1e-12)
             assert float(diff) == pytest.approx(float(dist.diff), rel=1e-12)
+
+    def test_table_rows_are_exact_laws_rounded_once(self, capsys):
+        import coinduel
+        from coinduel.cli import dispatch
+
+        assert dispatch(["table", "--n-from", "1", "--n-to", "300", "--step", "7"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+
+        series = coinduel.dp_series(300)
+        assert [row["n"] for row in doc["rows"]] == list(range(1, 301, 7))
+        for row in doc["rows"]:
+            dist = series[row["n"] - 1]
+            assert row["method"] == "recurrence"
+            assert [row["pA"], row["pB"], row["pTie"], row["diff"]] == [
+                float(dist.pA),
+                float(dist.pB),
+                float(dist.pTie),
+                float(dist.diff),
+            ], row["n"]
+
+    def test_table_above_exact_cap_is_float_dp(self, capsys):
+        from coinduel.cli import dispatch
+
+        assert dispatch(["table", "--n-from", "4097", "--n-to", "4097"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [row["method"] for row in doc["rows"]] == ["dp-float"]
 
     def test_walk_report_fields(self):
         doc = json.loads(golden("walk_s1000_seed3.json"))

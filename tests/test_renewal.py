@@ -19,7 +19,8 @@ from coinduel import (
     renewal_table,
     tailwalk,
 )
-from coinduel.renewal import _pi_float_terms
+from coinduel.exact import _dp_scan
+from coinduel.renewal import _count_rx_terms, _pi_float_terms, _tie_terms, fair_scan
 from coinduel.verify import _count_rx_closed_form
 
 
@@ -79,6 +80,48 @@ class TestCountRx:
         count_rx.cache_clear()
         count_rx(50)
         assert count_rx.cache_info().currsize == 1
+
+    def test_memo_is_bounded(self):
+        count_rx.cache_clear()
+        for m in range(1, 1101):
+            count_rx(m)
+        assert count_rx.cache_info().currsize == 1024
+
+
+class TestFairScan:
+    def test_matches_exact_dp(self):
+        assert list(fair_scan(600)) == list(_dp_scan(600, Fraction(1, 2)))
+
+    def test_tie_counts(self):
+        assert list(itertools.islice(_tie_terms(), 15)) == [
+            2, 2, 3, 6, 9, 15, 30, 54, 97, 189, 360, 675, 1304, 2522, 4835
+        ]
+
+    def test_tie_recurrence_division_is_exact(self):
+        # every right-hand side of
+        # 2(n+1) T_{n+1} = 6 T_n + 6(n-2) T_{n-1} + 4(n+1) T_{n-2}
+        #                  + 8(n-4) T_{n-3} - 16(n-3) T_{n-4} - 6
+        # must be a multiple of 2(n+1), with the next term as quotient
+        t = [0] + list(itertools.islice(_tie_terms(), 2001))
+        for n in range(5, 2001):
+            rhs = (
+                6 * t[n]
+                + 6 * (n - 2) * t[n - 1]
+                + 4 * (n + 1) * t[n - 2]
+                + 8 * (n - 4) * t[n - 3]
+                - 16 * (n - 3) * t[n - 4]
+                - 6
+            )
+            assert rhs % (2 * (n + 1)) == 0, n
+            assert rhs // (2 * (n + 1)) == t[n + 1], n
+
+    def test_sign_counts_are_whole(self):
+        # below and above are (2^k - T_k -+ D_k) / 2, so both numerators are even
+        d_k = 0
+        for k, tie, count in zip(range(1, 2001), _tie_terms(), _count_rx_terms()):
+            d_k += count
+            assert ((1 << k) - tie - d_k) % 2 == 0, k
+            assert ((1 << k) - tie + d_k) % 2 == 0, k
 
 
 class TestPi:
