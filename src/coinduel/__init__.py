@@ -27,12 +27,14 @@ from .core import (
 from .exact import (
     DP_EXACT_MAX_N,
     ENUM_MAX_N,
+    TRANSFORM_MAX_N,
     ExactDistribution,
     FloatDistribution,
     dp_distribution,
     dp_float_series,
     dp_series,
     enumerate_distribution,
+    transform_distribution,
 )
 from .excursions import (
     EXCURSION_ENUM_CAP,

@@ -4,8 +4,20 @@ Subcommands: exact, dp, mc, renewal, diff, asym, decompose, table, walk,
 verify.  Output is JSON by default; `table` and `renewal` sweeps also take
 --format csv.  Exact rationals are serialized as "num/den" strings, floats
 with 17 significant digits so they round-trip, and every probability field
-is tagged with the method that produced it.  Exit codes: 0 success, 1
-domain error, 2 usage error.
+is tagged with the method that produced it:
+
+  enum        exhaustive enumeration (exact)
+  dp-exact    rational forward DP (exact)
+  dp-float    float forward DP (dp --mode float up to n = 4096, table above
+              that); carries rounding_bound
+  fft-float   saddle-tilted transform (dp --mode float above n = 4096);
+              carries rounding_bound
+  recurrence  the fair-coin recurrence, each row rounded once (table)
+  renewal     the count_rx recurrence and the renewal convolution
+  asym        leading-order sqrt(n) laws
+  mc          seeded simulation
+
+Exit codes: 0 success, 1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -21,6 +33,7 @@ from .exact import (
     dp_distribution,
     dp_float_series,
     enumerate_distribution,
+    transform_distribution,
 )
 from .excursions import decompose
 from .core import parse_sequence
@@ -85,6 +98,9 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_dp(args) -> int:
+    if args.mode == "float" and args.n > DP_EXACT_MAX_N:
+        _emit(_law_record("dp", "fft-float", transform_distribution(args.n, Fraction(args.p))))
+        return 0
     dist = dp_distribution(args.n, Fraction(args.p), mode=args.mode)
     _emit(_law_record("dp", f"dp-{args.mode}", dist))
     return 0

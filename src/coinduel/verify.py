@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -29,8 +30,8 @@ from .exact import (
     _omega_scores,
     dp_distribution,
     dp_float_series,
-    dp_series,
     enumerate_distribution,
+    transform_distribution,
 )
 from .excursions import (
     Decomposition,
@@ -316,18 +317,40 @@ def _check_equality_edge() -> tuple[bool, str]:
     return True, "pA = pB at n in {1, 2}"
 
 
+_TRANSFORM_CHECK_N = (4097, 6000, 8192, 10_000)
+
+
+def _fair_gap(f, n: int, below: int, equal: int, above: int) -> float:
+    """Largest distance of a float law from the exact fair-coin counts over 2^n."""
+    den = 1 << n
+    return max(abs(f.pA - below / den), abs(f.pB - above / den), abs(f.pTie - equal / den))
+
+
 def _check_float_drift() -> tuple[bool, str]:
-    exacts = dp_series(2000)
-    floats = dp_float_series(2000)
+    # the exact side is one fair_scan pass, which the bridge check pins to
+    # the exact DP; its first 2000 rows test the float DP, later ones the
+    # transform
+    scan = fair_scan(10_000)
     worst = 0.0
-    for e, f in zip(exacts, floats):
-        drift = max(
-            abs(f.pA - float(e.pA)), abs(f.pB - float(e.pB)), abs(f.pTie - float(e.pTie))
-        )
+    for (n, *counts), f in zip(islice(scan, 2000), dp_float_series(2000), strict=True):
+        drift = _fair_gap(f, n, *counts)
         worst = max(worst, drift)
         if drift > f.rounding_bound:
-            return False, f"drift {drift:.3e} exceeds bound at n = {f.n}"
-    return True, f"float DP tracks exact DP for n <= 2000 (worst drift {worst:.2e})"
+            return False, f"drift {drift:.3e} exceeds bound at n = {n}"
+    worst_share = 0.0
+    for n, *counts in scan:
+        if n not in _TRANSFORM_CHECK_N:
+            continue
+        f = transform_distribution(n, 0.5)
+        error = _fair_gap(f, n, *counts)
+        worst_share = max(worst_share, error / f.rounding_bound)
+        if error > f.rounding_bound:
+            return False, f"transform error {error:.3e} exceeds its bound at n = {n}"
+    return True, (
+        f"float DP tracks exact law for n <= 2000 (worst drift {worst:.2e}); "
+        f"transform within its bound at n = {', '.join(map(str, _TRANSFORM_CHECK_N))} "
+        f"(worst error {worst_share:.2f} of bound)"
+    )
 
 
 def _check_bias_increasing() -> tuple[bool, str]:

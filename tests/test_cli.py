@@ -55,6 +55,8 @@ class TestGoldens:
                 ["mc", "--n", "3", "--trials", "1000", "--seed", "7"],
             ),
             ("walk_s1000_seed3.json", ["walk", "--steps", "1000", "--seed", "3"]),
+            # the largest n the float DP still answers
+            ("dp_n4096_float.json", ["dp", "--n", "4096", "--mode", "float"]),
         ],
     )
     def test_byte_identical(self, name, args):
@@ -165,6 +167,23 @@ class TestSemantics:
         doc = json.loads(capsys.readouterr().out)
         assert [row["method"] for row in doc["rows"]] == ["dp-float"]
 
+    def test_dp_float_above_exact_cap_is_transform(self, capsys):
+        from coinduel.cli import dispatch
+        from coinduel.exact import transform_distribution
+
+        assert dispatch(["dp", "--n", "4097", "--mode", "float", "--p", "0.6"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        dist = transform_distribution(4097, 0.6)
+        assert doc["method"] == "fft-float"
+        assert [doc[key] for key in ("n", "p", "pA", "pB", "pTie", "rounding_bound")] == [
+            4097,
+            0.6,
+            dist.pA,
+            dist.pB,
+            dist.pTie,
+            dist.rounding_bound,
+        ]
+
     def test_walk_report_fields(self):
         doc = json.loads(golden("walk_s1000_seed3.json"))
         assert doc["steps"] == 1000 and doc["seed"] == 3
@@ -205,6 +224,18 @@ class TestExitCodes:
 
     def test_enum_cap_is_one(self):
         assert run_cli("exact", "--n", "31", check=False).returncode == 1
+
+    def test_transform_cap_is_one(self, monkeypatch, capsys):
+        # with numpy out of reach, an array built before the check would
+        # raise AttributeError rather than return 1
+        from coinduel import exact
+        from coinduel.cli import dispatch
+
+        monkeypatch.setattr(exact, "np", None)
+        n = exact.TRANSFORM_MAX_N + 1
+        assert dispatch(["dp", "--n", str(n), "--mode", "float"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(exact.TRANSFORM_MAX_N) in err
 
 
 class TestVerifySubcommand:

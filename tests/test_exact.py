@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,13 +9,17 @@ from coinduel import (
     ASYMPTOTIC_C,
     DP_EXACT_MAX_N,
     ENUM_MAX_N,
+    TRANSFORM_MAX_N,
     dp_distribution,
     dp_float_series,
     dp_series,
     enumerate_distribution,
     ExactDistribution,
+    transform_distribution,
 )
-from coinduel.exact import _dp_scan
+from coinduel import exact
+from coinduel.exact import _dp_scan, _fft_length, _saddle_tilt
+from coinduel.renewal import fair_scan
 
 probs = st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100))
 
@@ -182,6 +187,99 @@ class TestDPFloat:
             dp_float_series(10, 0.0)
         with pytest.raises(ValueError):
             dp_float_series(10, 1.0)
+
+
+def _relative_gaps(dist, oracle):
+    """|dist - oracle| / oracle on every class where oracle is a normal float."""
+    return [
+        abs(got - want) / want
+        for got, want in zip((dist.pA, dist.pB, dist.pTie), (oracle.pA, oracle.pB, oracle.pTie))
+        if want >= sys.float_info.min
+    ]
+
+
+class TestTransform:
+    def test_fair_coin_within_bound_of_exact_law(self):
+        wanted = (4097, 6001, 11005, 20000, 30000)
+        for n, below, equal, above in fair_scan(wanted[-1]):
+            if n not in wanted:
+                continue
+            dist = transform_distribution(n)
+            den = 1 << n
+            for got, count in ((dist.pA, below), (dist.pB, above), (dist.pTie, equal)):
+                assert abs(Fraction(got) - Fraction(count, den)) <= dist.rounding_bound, n
+
+    @pytest.mark.parametrize("p", [0.05, 1 / 3, 0.4, 0.6, 0.95])
+    @pytest.mark.parametrize("n", [4097, 6000])
+    def test_matches_float_dp_relatively(self, n, p):
+        gaps = _relative_gaps(transform_distribution(n, p), dp_distribution(n, p, mode="float"))
+        assert gaps and max(gaps) <= 1e-11
+
+    @given(st.integers(2, 3000), st.floats(0.01, 0.99))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_float_dp_at_random_points(self, n, p):
+        gaps = _relative_gaps(transform_distribution(n, p), dp_distribution(n, p, mode="float"))
+        assert max(gaps) <= 1e-11
+
+    @pytest.mark.parametrize("p", [Fraction(3, 5), Fraction(1, 3), Fraction(9, 10)], ids=str)
+    def test_small_classes_keep_relative_accuracy(self, p):
+        # against the exact law of the same float p: the classes on the far
+        # side of the mean are tiny here, yet close in relative terms
+        n = 600
+        pf = Fraction(float(p))
+        for _, below, equal, above in _dp_scan(n, pf):
+            pass
+        den = pf.denominator**n
+        exact = dict(pA=Fraction(below, den), pB=Fraction(above, den), pTie=Fraction(equal, den))
+        dist = transform_distribution(n, p)
+        for key, value in exact.items():
+            got = Fraction(getattr(dist, key))
+            assert abs(got - value) <= dist.rounding_bound, key
+            if value < Fraction(1, 10**6):
+                assert abs(got - value) <= value * Fraction(1, 10**12), key
+
+    @pytest.mark.parametrize("p", [0.5, 0.6, 0.4, 0.05, 0.95])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4097, 12345])
+    def test_partition_within_bound(self, n, p):
+        dist = transform_distribution(n, p)
+        assert abs(dist.pA + dist.pB + dist.pTie - 1.0) <= dist.rounding_bound
+        assert min(dist.pA, dist.pB, dist.pTie) >= 0.0
+
+    def test_fair_tilt_is_one(self):
+        assert _saddle_tilt(0.5, 0.5) == 1.0
+        for p in (0.05, 0.4, 0.6, 0.95):
+            r = _saddle_tilt(p, 1 - p)
+            assert math.isclose(r**3 + r, 2 * p / (1 - p), rel_tol=1e-15)
+
+    def test_fft_length_is_smallest_even_5_smooth(self):
+        def smooth(m):
+            for f in (2, 3, 5):
+                while m % f == 0:
+                    m //= f
+            return m == 1
+
+        for m in (1, 2, 7, 100, 6145, 16508):
+            length = _fft_length(m)
+            assert length >= m and length % 2 == 0 and smooth(length)
+            assert not any(smooth(x) for x in range(max(m, 2) + (m % 2), length, 2))
+
+    def test_cap_rejects_before_allocating(self, monkeypatch):
+        # with numpy out of reach any array the call tried to build would
+        # raise AttributeError instead
+        monkeypatch.setattr(exact, "np", None)
+        with pytest.raises(ValueError, match=str(TRANSFORM_MAX_N)):
+            transform_distribution(TRANSFORM_MAX_N + 1)
+        with pytest.raises(ValueError):
+            transform_distribution(10**18, 0.6)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, Fraction(-1, 3), 2])
+    def test_rejects_bad_probability(self, bad):
+        with pytest.raises(ValueError):
+            transform_distribution(5000, bad)
+
+    def test_rejects_nonpositive_length(self):
+        with pytest.raises(ValueError):
+            transform_distribution(0)
 
 
 class TestValueSemantics:
