@@ -55,12 +55,10 @@ from .excursions import (
 from .montecarlo import DEFAULT_BATCH_SIZE, SimConfig, SimResult, simulate_game
 from .renewal import (
     ASYMPTOTIC_C,
-    BINOM_EXACT_MAX_K,
     AsymptoticReport,
     RenewalTable,
     WalkReport,
     asymptotics,
-    binomial_pmf,
     count_rx,
     jump_mean_truncated,
     pi,

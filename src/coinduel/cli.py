@@ -30,8 +30,9 @@ from fractions import Fraction
 from .exact import (
     DP_EXACT_MAX_N,
     FloatDistribution,
+    _dp_float_bands,
+    _float_sign_sums,
     dp_distribution,
-    dp_float_series,
     enumerate_distribution,
     transform_distribution,
 )
@@ -201,7 +202,8 @@ def _table_laws(n_from: int, n_to: int, step: int):
 
     One forward pass covers the whole sweep: the fair-coin recurrence, each
     requested row rounded once from its exact counts, while in exact reach;
-    the float DP above that.
+    above that the float DP, which runs once to n_to and sums the sign
+    classes of the printed rows only.
     """
     if n_to <= DP_EXACT_MAX_N:
         for n, below, equal, above in fair_scan(n_to):
@@ -209,8 +211,9 @@ def _table_laws(n_from: int, n_to: int, step: int):
                 den = 1 << n
                 yield n, "recurrence", below / den, above / den, equal / den, (above - below) / den
     else:
-        for dist in dp_float_series(n_to)[n_from - 1 :: step]:
-            yield dist.n, "dp-float", dist.pA, dist.pB, dist.pTie, dist.diff
+        for n, h, t in _dp_float_bands(n_to, 0.5, range(n_from, n_to + 1, step)):
+            below, equal, above = _float_sign_sums(h, t, n)
+            yield n, "dp-float", below, above, equal, above - below
 
 
 def _table_rows(n_from: int, n_to: int, step: int):

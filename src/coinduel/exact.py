@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 ENUM_MAX_N = 30
 DP_EXACT_MAX_N = 4096
@@ -155,40 +156,50 @@ def _dp_scan(n: int, p: Fraction) -> Iterator[tuple[int, int, int, int]]:
         yield k, h_below + t_below, weight_h[off] + weight_t[off], h_above + t_above
 
 
-def _dp_float_bands(n: int, p: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Float twin of _dp_scan's band: yields the H and T probabilities of the
-    reachable band after each step k = 1..n, with score 0 at index k - 1.
+def _dp_float_bands(
+    n: int, p: float, steps: Iterable[int]
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Float twin of _dp_scan's band: yields (k, H band, T band) for each k in
+    steps, a subset of 1..n, in increasing order; a band holds the
+    probabilities of the reachable states after step k, with score 0 at
+    index k - 1.  The DP stops at the last step asked for.
+
+    H and T are the two rows of one (2, size) buffer, so a step is one add,
+    of H(s+1) and H(s-1) to T(s), into both new rows and one multiply of them
+    by (p, q); each cell is still fl(fl(H(s±1) + T(s)) * p|q).
 
     The arrays are views of buffers that the next step overwrites, so read
     each before asking for the next.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must satisfy 0 < p < 1, got {p}")
+    wanted = set(steps)
+    last = max(wanted, default=0)
     q = 1.0 - p
     size = n + n // 2 + 3
     off = n
-    cur_h = np.zeros(size)
-    cur_t = np.zeros(size)
-    new_h = np.zeros(size)
-    new_t = np.zeros(size)
-    cur_h[off] = p
-    cur_t[off] = q
-    yield cur_h[off : off + 1], cur_t[off : off + 1]
-    for k in range(2, n + 1):
+    cur = np.zeros((2, size))
+    new = np.zeros((2, size))
+    # column j of these views is (H[j + 2], H[j]): the H cells that cell
+    # j + 1 reads after an H and after a T flip
+    cur_from = sliding_window_view(cur[0], size - 2)[::-2]
+    new_from = sliding_window_view(new[0], size - 2)[::-2]
+    by_flip = np.array([[p], [q]])
+    cur[:, off] = p, q
+    if 1 in wanted:
+        yield 1, cur[0, off : off + 1], cur[1, off : off + 1]
+    for k in range(2, last + 1):
         lo = off - (k - 1)
         hi = off + k // 2
-        band = slice(lo, hi + 1)
-        up = slice(lo + 1, hi + 2)
-        down = slice(lo - 1, hi)
         # cells outside every band stay at their initial zero: bands only
         # grow, so reads one past the previous band always see 0
-        np.add(cur_h[up], cur_t[band], out=new_h[band])
-        new_h[band] *= p
-        np.add(cur_h[down], cur_t[band], out=new_t[band])
-        new_t[band] *= q
-        cur_h, new_h = new_h, cur_h
-        cur_t, new_t = new_t, cur_t
-        yield cur_h[band], cur_t[band]
+        band = new[:, lo : hi + 1]
+        np.add(cur_from[:, lo - 1 : hi], cur[1, lo : hi + 1], out=band)
+        band *= by_flip
+        cur, new = new, cur
+        cur_from, new_from = new_from, cur_from
+        if k in wanted:
+            yield k, cur[0, lo : hi + 1], cur[1, lo : hi + 1]
 
 
 def _float_sign_sums(h: np.ndarray, t: np.ndarray, k: int) -> tuple[float, float, float]:
@@ -227,8 +238,7 @@ def dp_distribution(
         )
     if mode == "float":
         pf = float(p)
-        for h, t in _dp_float_bands(n, pf):
-            pass
+        _, h, t = next(_dp_float_bands(n, pf, (n,)))
         below, equal, above = _float_sign_sums(h, t, n)
         return FloatDistribution(n, pf, below, above, equal, _rounding_bound(n))
     raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
@@ -258,7 +268,7 @@ def dp_float_series(n_max: int, p: float = 0.5) -> list[FloatDistribution]:
         raise ValueError("n_max must be >= 1")
     pf = float(p)
     out = []
-    for k, (h, t) in enumerate(_dp_float_bands(n_max, pf), start=1):
+    for k, h, t in _dp_float_bands(n_max, pf, range(1, n_max + 1)):
         below, equal, above = _float_sign_sums(h, t, k)
         out.append(FloatDistribution(k, pf, below, above, equal, _rounding_bound(k)))
     return out

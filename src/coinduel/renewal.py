@@ -24,10 +24,6 @@ from .montecarlo import _substream
 
 ASYMPTOTIC_C = 0.5 / math.sqrt(math.pi)  # 1/(2*sqrt(pi)) ~ 0.28209479
 
-BINOM_EXACT_MAX_K = 64
-# below this, float binomial probabilities come from exact integer ratios
-_BINOM_LOG_MIN_K = 256
-
 
 def _count_rx_terms() -> Iterator[int]:
     """count_rx(1), count_rx(2), ... in order, by a linear recurrence.
@@ -170,27 +166,6 @@ def renewal_diff(n: int) -> Fraction:
     if n < 3:
         raise ValueError("the convolution is empty below n = 3")
     return Fraction(sum(itertools.islice(_count_rx_terms(), n)), 1 << n)
-
-
-def binomial_pmf(k: int, j: int, mode: str = "float") -> Union[float, Fraction]:
-    """P(Binomial(k, 1/2) = j) = C(k, j) / 2^k.
-
-    Float mode switches to log-space gamma functions for large k so values
-    stay finite out to k ~ 10^6; exact mode is capped at k = 64.
-    """
-    if not 0 <= j <= k:
-        raise ValueError(f"need 0 <= j <= k, got j={j}, k={k}")
-    if mode == "exact":
-        if k > BINOM_EXACT_MAX_K:
-            raise ValueError(f"exact mode is capped at k = {BINOM_EXACT_MAX_K}")
-        return Fraction(math.comb(k, j), 1 << k)
-    if mode != "float":
-        raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
-    if k <= _BINOM_LOG_MIN_K:
-        return float(Fraction(math.comb(k, j), 1 << k))
-    return math.exp(
-        math.lgamma(k + 1) - math.lgamma(j + 1) - math.lgamma(k - j + 1) - k * math.log(2.0)
-    )
 
 
 @dataclass(frozen=True)

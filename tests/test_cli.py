@@ -161,11 +161,32 @@ class TestSemantics:
             ], row["n"]
 
     def test_table_above_exact_cap_is_float_dp(self, capsys):
+        # the table runs the float DP once and sums only the printed rows;
+        # each row must still be the series' entry, field by field
+        import coinduel
         from coinduel.cli import dispatch
 
-        assert dispatch(["table", "--n-from", "4097", "--n-to", "4097"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert [row["method"] for row in doc["rows"]] == ["dp-float"]
+        keys = ("pA", "pB", "pTie", "diff")
+        for n_from, n_to, step in ((4097, 4097, 1), (4097, 4500, 101), (4100, 4100, 1)):
+            series = coinduel.dp_float_series(n_to)
+            wanted = list(range(n_from, n_to + 1, step))
+            args = ["table", "--n-from", str(n_from), "--n-to", str(n_to), "--step", str(step)]
+
+            assert dispatch(args) == 0
+            rows = json.loads(capsys.readouterr().out)["rows"]
+            assert [row["n"] for row in rows] == wanted
+            for row in rows:
+                dist = series[row["n"] - 1]
+                assert row["method"] == "dp-float"
+                assert [row[key] for key in keys] == [getattr(dist, key) for key in keys]
+
+            assert dispatch(args + ["--format", "csv"]) == 0
+            lines = capsys.readouterr().out.splitlines()[1:]
+            assert [int(line.split(",")[0]) for line in lines] == wanted
+            for line in lines:
+                n, *values = line.split(",")
+                dist = series[int(n) - 1]
+                assert [float(v) for v in values[:4]] == [getattr(dist, key) for key in keys]
 
     def test_dp_float_above_exact_cap_is_transform(self, capsys):
         from coinduel.cli import dispatch

@@ -2,6 +2,7 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +19,7 @@ from coinduel import (
     transform_distribution,
 )
 from coinduel import exact
-from coinduel.exact import _dp_scan, _fft_length, _saddle_tilt
+from coinduel.exact import _dp_float_bands, _dp_scan, _fft_length, _saddle_tilt
 from coinduel.renewal import fair_scan
 
 probs = st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100))
@@ -79,6 +80,30 @@ def reference_dp_scan(n: int, p: Fraction):
         equal = weight_h[off] + weight_t[off]
         above = sum(weight_h[off + 1 : hi + 1]) + sum(weight_t[off + 1 : hi + 1])
         yield k, below, equal, above
+
+
+def reference_dp_float_bands(n: int, p: float):
+    """Reference for _dp_float_bands: H and T in separate buffers, each new
+    row made by its own add and its own multiply; yields (H, T) copies of the
+    band after every step k = 1..n."""
+    q = 1.0 - p
+    size = n + n // 2 + 3
+    off = n
+    cur_h, cur_t, new_h, new_t = (np.zeros(size) for _ in range(4))
+    cur_h[off] = p
+    cur_t[off] = q
+    yield cur_h[off : off + 1].copy(), cur_t[off : off + 1].copy()
+    for k in range(2, n + 1):
+        band = slice(off - (k - 1), off + k // 2 + 1)
+        up = slice(band.start + 1, band.stop + 1)
+        down = slice(band.start - 1, band.stop - 1)
+        np.add(cur_h[up], cur_t[band], out=new_h[band])
+        new_h[band] *= p
+        np.add(cur_h[down], cur_t[band], out=new_t[band])
+        new_t[band] *= q
+        cur_h, new_h = new_h, cur_h
+        cur_t, new_t = new_t, cur_t
+        yield cur_h[band].copy(), cur_t[band].copy()
 
 
 class TestDPExact:
@@ -181,6 +206,23 @@ class TestDPFloat:
         values = {n: dp_float_series(n, 0.6)[-1].pA for n in (50, 100, 200, 500)}
         assert values[50] < values[100] < values[200] < values[500]
         assert values[500] > 0.95
+
+    @pytest.mark.parametrize("p", [0.5, 0.6, 0.4, 1 / 3, 0.05, 0.95])
+    def test_bands_match_reference_every_step(self, p):
+        for n in (1, 2, 3, 4, 101, 777):
+            got = _dp_float_bands(n, p, range(1, n + 1))
+            pairs = zip(reference_dp_float_bands(n, p), got, strict=True)
+            for k, ((h, t), (step, h_got, t_got)) in enumerate(pairs, start=1):
+                assert step == k
+                assert np.array_equal(h_got, h) and np.array_equal(t_got, t), (n, k)
+
+    def test_bands_yield_only_requested_steps(self):
+        full = {k: (h.copy(), t.copy()) for k, h, t in _dp_float_bands(40, 0.6, range(1, 41))}
+        for steps in ([1], [1, 2, 40], range(3, 41, 9), [7], []):
+            got = [(k, h.copy(), t.copy()) for k, h, t in _dp_float_bands(40, 0.6, steps)]
+            assert [k for k, _, _ in got] == list(steps)
+            for k, h, t in got:
+                assert np.array_equal(h, full[k][0]) and np.array_equal(t, full[k][1]), k
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):

@@ -3,13 +3,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from coinduel import (
     ASYMPTOTIC_C,
-    BINOM_EXACT_MAX_K,
     asymptotics,
-    binomial_pmf,
     count_rx,
     dp_distribution,
     dp_series,
@@ -189,43 +186,6 @@ class TestRenewalDiff:
     def test_rejects_short(self):
         with pytest.raises(ValueError):
             renewal_diff(2)
-
-
-class TestBinomial:
-    def test_exact_examples(self):
-        assert binomial_pmf(4, 2, mode="exact") == Fraction(3, 8)
-        assert binomial_pmf(1, 0, mode="exact") == Fraction(1, 2)
-
-    def test_float_matches_exact_small(self):
-        for k in range(1, 65):
-            for j in (0, k // 2, k):
-                assert binomial_pmf(k, j) == float(binomial_pmf(k, j, mode="exact"))
-
-    def test_log_branch_continuity(self):
-        # the log-gamma branch takes over above 256; values must not jump
-        for k in (255, 256, 257, 300):
-            direct = float(Fraction(math.comb(k, k // 2), 1 << k))
-            assert math.isclose(binomial_pmf(k, k // 2), direct, rel_tol=1e-12)
-
-    def test_local_clt(self):
-        k = 10**4
-        predicted = math.sqrt(2.0 / (math.pi * k))
-        assert abs(binomial_pmf(k, k // 2) - predicted) <= 0.01 * predicted
-
-    def test_exact_cap(self):
-        with pytest.raises(ValueError):
-            binomial_pmf(BINOM_EXACT_MAX_K + 1, 3, mode="exact")
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            binomial_pmf(4, 5)
-        with pytest.raises(ValueError):
-            binomial_pmf(4, -1)
-
-    @given(st.integers(1, 64), st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_row_sums_to_one(self, k, data):
-        assert sum(binomial_pmf(k, j, mode="exact") for j in range(k + 1)) == 1
 
 
 class TestAsymptotics:
