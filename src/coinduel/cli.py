@@ -284,7 +284,7 @@ def _cmd_verify(args) -> int:
         nonlocal failures, total
         total += 1
         status = "PASS" if result.ok else "FAIL"
-        print(f"{status} {result.name}: {result.detail}", flush=True)
+        print(f"{status} {result.name}: {result.detail} [{result.seconds:.2f} s]", flush=True)
         if not result.ok:
             failures += 1
 

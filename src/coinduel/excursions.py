@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +48,7 @@ class PositionClass(Enum):
     NEUTRAL_ZERO = "NeutralZero"
 
 
-@dataclass(frozen=True, slots=True)
-class Slot:
+class Slot(NamedTuple):
     """One window of the renewal parse, including its leading shared head.
 
     For kind A the window content is an A-hat excursion and tau_end marks
@@ -62,7 +62,14 @@ class Slot:
     kind: SlotKind
     tau_end: int | None
     complete: bool
-    source: FlipSequence = field(repr=False)
+    source: FlipSequence
+
+    def __repr__(self) -> str:
+        # the source is the whole parsed sequence: leave it out
+        return (
+            f"Slot(start_index={self.start_index!r}, end_index={self.end_index!r}, "
+            f"kind={self.kind!r}, tau_end={self.tau_end!r}, complete={self.complete!r})"
+        )
 
     @property
     def content(self) -> FlipSequence:
@@ -186,18 +193,62 @@ def couple(tau: FlipSequence, tail_len: int = 0) -> tuple[FlipSequence, FlipSequ
     return alpha, reverse(alpha)
 
 
+# From this length on, decompose finds window returns in a numpy level array;
+# below it, numpy's fixed cost per call is more than building score_series.
+_LEVEL_ARRAY_MIN_FLIPS = 224
+
+
+def _level_bytes(seq: FlipSequence) -> tuple[bytes, bytes, np.ndarray | None]:
+    """The flips (one byte each, heads = 1) and S_1..S_n mod 256 as bytes.
+
+    The third item is the levels themselves when their range reaches 256,
+    where equal bytes need not mean equal levels; else None.
+    """
+    n = seq.length
+    packed = np.frombuffer(seq.bits.to_bytes((n + 7) // 8, "little"), np.uint8)
+    flips = np.unpackbits(packed, count=n, bitorder="little")
+    f = flips.view(np.int8)
+    steps = np.zeros(n, np.int8)
+    # S_j - S_{j-1} = [flip j-1 != flip j] - flip j: +1 after HT, -1 after HH
+    np.bitwise_xor(f[:-1], f[1:], out=steps[1:])
+    steps[1:] -= f[1:]
+    # |S_j| < n; the narrowest type that holds it sums fastest
+    levels = np.add.accumulate(steps, dtype=np.int32 if n < 1 << 31 else np.int64)
+    wide = levels.max() - levels.min() >= 256
+    return flips.tobytes(), levels.astype(np.uint8).tobytes(), levels if wide else None
+
+
+def _true_return(levels: bytes, exact: np.ndarray, e: int, j: int) -> int:
+    """The first j > e with S_j = S_e, from j, the first whose byte matches.
+
+    Levels repeat mod 256, so a byte match is checked against exact; 0 is
+    no return.
+    """
+    start = int(exact[e - 1])
+    while j:
+        gap = abs(int(exact[j - 1]) - start)
+        if not gap:
+            break
+        # the score moves at most one a flip, so S_e is at least gap flips on
+        j = levels.find(levels[e - 1], j - 1 + gap) + 1
+    return j
+
+
 def decompose(seq: FlipSequence) -> Decomposition:
     """Greedy left-to-right renewal parse of seq."""
     n = seq.length
     if n == 0:
         raise ValueError("cannot decompose an empty sequence")
-    text = str(seq)
-    first_head = text.find(HEADS) + 1
+    # text[i] is flip i + 1 and levels[i] is S_{i+1}, or S_{i+1} mod 256
+    # with exact the true levels when that is ambiguous
+    if n < _LEVEL_ARRAY_MIN_FLIPS:
+        text, heads, levels, exact = str(seq), HEADS, score_series(seq), None
+    else:
+        text, levels, exact = _level_bytes(seq)
+        heads = 1
+    first_head = text.find(heads) + 1
     if not first_head:
         return Decomposition(n, n, None, (), None)
-    # scores[j - 1] = S_j; the window score from the head at e returns to
-    # zero at the first j > e where S_j comes back to S_e
-    scores = score_series(seq)
     slots: list[Slot] = []
     trailing = None
     e = first_head
@@ -205,11 +256,15 @@ def decompose(seq: FlipSequence) -> Decomposition:
         if e == n:
             trailing = Slot(e, e, SlotKind.UNDETERMINED, None, False, seq)
             break
-        a_type = text[e] == HEADS  # the flip after the head picks the form
+        a_type = text[e] == heads  # the flip after the head picks the form
+        # the window score from the head at e returns to zero at the first
+        # j > e where S_j comes back to S_e
         try:
-            zero_at = scores.index(scores[e - 1], e) + 1
+            zero_at = levels.index(levels[e - 1], e) + 1
         except ValueError:
             zero_at = 0
+        if exact is not None:
+            zero_at = _true_return(levels, exact, e, zero_at)
         if not a_type:
             if zero_at:
                 slots.append(Slot(e, zero_at, SlotKind.B, None, True, seq))
@@ -221,7 +276,7 @@ def decompose(seq: FlipSequence) -> Decomposition:
             slots.append(Slot(e, n, SlotKind.A, None, False, seq))
             break
         # zero_at closes the A-part; its tail padding runs to the next head
-        f = text.find(HEADS, zero_at) + 1
+        f = text.find(heads, zero_at) + 1
         if f:
             slots.append(Slot(e, f, SlotKind.A, zero_at, True, seq))
             e = f

@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice, repeat
+from operator import is_, is_not, itemgetter
+from time import perf_counter
 from typing import Callable
 
 import numpy as np
@@ -54,6 +56,7 @@ class InvariantResult:
     name: str
     ok: bool
     detail: str
+    seconds: float  # wall time of the check
 
 
 def _random_sequence(rng: np.random.Generator, length: int) -> FlipSequence:
@@ -178,39 +181,221 @@ def _check_tie_class_mass() -> tuple[bool, str]:
     return True, "P(S_n=0) equals the mass of the two zero classes, n <= 12"
 
 
+# one block of the vectorised parse checks holds at most this many
+# sequences and this many cells (sequences x flips)
+_PARSE_BLOCK_SEQS = 1 << 12
+_PARSE_BLOCK_CELLS = 1 << 20
+
+
+def _short_blocks(n_max: int):
+    """Every sequence of length 1..n_max in blocks: (sequences, their flips)."""
+    for n in range(1, n_max + 1):
+        size = min(1 << n, _PARSE_BLOCK_SEQS)
+        for lo in range(0, 1 << n, size):
+            seqs = [FlipSequence(b, n) for b in range(lo, lo + size)]
+            b = np.arange(lo, lo + size, dtype=np.int32)
+            yield seqs, ((b[:, None] >> np.arange(n, dtype=np.int32)) & 1).astype(np.uint8)
+
+
+def _random_block(
+    rng: np.random.Generator, count: int, length: int
+) -> tuple[list[FlipSequence], np.ndarray]:
+    """count calls of _random_sequence(rng, length) at once, and their flips."""
+    width = (length + 7) // 8
+    # rng.bytes(width) keeps the first width bytes of whole little-endian
+    # 32-bit words, so one draw of count rows of words reads the same stream
+    words = rng.integers(0, 1 << 32, size=(count, -(-width // 4)), dtype=np.uint32)
+    packed = words.astype("<u4", copy=False).view(np.uint8)[:, :width]
+    data = packed.tobytes()
+    mask = (1 << length) - 1
+    seqs = [
+        FlipSequence(int.from_bytes(data[i : i + width], "little") & mask, length)
+        for i in range(0, len(data), width)
+    ]
+    return seqs, np.unpackbits(packed, axis=1, count=length, bitorder="little")
+
+
+def _levels(flips: np.ndarray) -> np.ndarray:
+    """Running scores S_1..S_n along the last axis of a 0/1 flip array."""
+    f = flips.view(np.int8)
+    steps = np.zeros(flips.shape, np.int8)
+    # the flip after a head scores +1 if it is a tail (HT), -1 if a head (HH)
+    steps[..., 1:] = f[..., :-1] * (1 - 2 * f[..., 1:])
+    # |S_j| < n, and the narrower sum runs faster
+    return np.cumsum(steps, axis=-1, dtype=np.int16 if flips.shape[-1] < 1 << 15 else np.int32)
+
+
+def _range_reduce(ufunc: np.ufunc, flat: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """ufunc over flat[lo[k] : hi[k] + 1] for each k, the ranges in order.
+
+    Where hi[k] < lo[k] the range is empty and entry k means nothing.
+    """
+    bounds = np.empty(2 * len(lo), dtype=np.intp)
+    bounds[0::2] = np.minimum(lo, flat.size - 1)
+    bounds[1::2] = hi + 1
+    if bounds[-1] == flat.size:
+        bounds = bounds[:-1]  # the last range runs to the end of flat
+    return ufunc.reduceat(flat, bounds)[0::2]
+
+
+def _parse_fault(
+    seqs: list[FlipSequence],
+    decomps: list[Decomposition],
+    flips: np.ndarray,
+    levels: np.ndarray,
+) -> tuple[int, str] | None:
+    """The first row whose parse breaks the renewal rule, and how; else None.
+
+    Of several faults in that row, the first one tested below is named.
+
+    decomps[i] is taken as the parse of seqs[i], whose flips (heads = 1) and
+    running scores S_1..S_n are row i of flips and levels.  Together these
+    conditions admit only the greedy parse:
+    - length, first head and initial tailrun are the sequence's, and every
+      window's source is the sequence;
+    - the windows tile [first head, n]: each starts on the head that closed
+      the one before, and only the last may be open;
+    - each window's kind is the flip after its head (H: A, T: B);
+    - a B window stays strictly above its start level inside, and a closed
+      one returns to it;
+    - an A-part stays strictly below its start level inside and closes at
+      it, and an open A window without one stays below up to flip n;
+    - the padding after an A-part is all T, and a closed window ends in H;
+    - a trailing head is recorded exactly when the last window closed on
+      flip n (or the first head is flip n).
+    """
+    rows, n = flips.shape
+    faults: list[tuple[int, str]] = []
+
+    def need(ok: np.ndarray, where: np.ndarray, reason: str) -> None:
+        if not ok.all():
+            faults.append((int(where[np.argmin(ok)]), reason))
+
+    row_ids = np.arange(rows)
+    has_head = flips.any(axis=1)
+    first = np.where(has_head, flips.argmax(axis=1) + 1, 0)
+    need(np.array([d.length for d in decomps]) == n, row_ids, "wrong length")
+    need(np.array([d.first_head_pos or 0 for d in decomps]) == first, row_ids, "wrong first head")
+    need(
+        np.array([d.initial_tailrun_len for d in decomps]) == np.where(has_head, first - 1, n),
+        row_ids,
+        "wrong initial tailrun",
+    )
+
+    # the fields of every window, in order: slot k's field i is fields[6k + i]
+    fields = list(chain.from_iterable(chain.from_iterable(d.slots for d in decomps)))
+    m = len(fields) // 6
+    counts = np.array([len(d.slots) for d in decomps], dtype=np.intp)
+    row = np.repeat(row_ids, counts)
+    start = np.array(fields[0::6], dtype=np.intp)
+    end = np.array(fields[1::6], dtype=np.intp)
+    is_a = np.fromiter(map(is_, fields[2::6], repeat(SlotKind.A)), bool, m)
+    is_b = np.fromiter(map(is_, fields[2::6], repeat(SlotKind.B)), bool, m)
+    has_tau = np.fromiter(map(is_not, fields[3::6], repeat(None)), bool, m)
+    tau = np.array([t or 0 for t in fields[3::6]], dtype=np.intp)
+    complete = np.array(fields[4::6], dtype=bool)
+    owners = chain.from_iterable(map(repeat, seqs, counts.tolist()))
+    same = np.fromiter(map(is_, fields[5::6], owners), bool, m)
+    need(same, row, "a window's source is not the parsed sequence")
+
+    firsts = (np.cumsum(counts) - counts)[counts > 0]
+    lasts = firsts + counts[counts > 0] - 1
+    expected_start = np.empty(m, dtype=np.intp)
+    expected_start[1:] = end[:-1]
+    expected_start[firsts] = first[row[firsts]]
+    need(start == expected_start, row, "windows do not tile from the first head")
+    need((start < end) & (end <= n), row, "a window ends before it starts or after flip n")
+    need(is_a | is_b, row, "a window is neither A nor B")
+    need(~has_tau | (is_a & (start < tau) & (tau <= end)), row, "misplaced tau_end")
+    need(is_b | has_tau | ~complete, row, "a closed A window has no tau_end")
+    need(complete | (end == n), row, "an open window ends before flip n")
+    row_end = first.copy()
+    row_end[row[lasts]] = end[lasts]
+    need(~has_head | (row_end == n), row_ids, "the windows stop before flip n")
+    last_closed = np.ones(rows, bool)
+    last_closed[row[lasts]] = complete[lasts]
+    # a trailing head is flip n alone, open and of no kind yet
+    bare_head = (n, n, SlotKind.UNDETERMINED, None, False)
+    trailing_ok = [
+        t is not None and t[:5] == bare_head and t.source is s if expected else t is None
+        for t, s, expected in zip(
+            (d.trailing for d in decomps), seqs, (has_head & last_closed).tolist()
+        )
+    ]
+    need(np.array(trailing_ok), row_ids, "wrong trailing head")
+    if faults or not m:
+        return min(faults, key=itemgetter(0), default=None)
+
+    # flip p of row r is flat cell r * n + p - 1
+    base = row * n - 1
+    flat_flips = flips.ravel()
+    flat_levels = levels.ravel()
+    need(
+        is_a == (flat_flips[base + start + 1] == 1),
+        row,
+        "a window's kind is not the flip after its head",
+    )
+    need(~complete | (flat_flips[base + end] == 1), row, "a closed window does not end on a head")
+    at_start = flat_levels[base + start]
+    # the flips that must stay strictly off the start level: the inside of a
+    # B window or of an A-part, and the tail of an open window without one
+    hi = np.where(has_tau, tau - 1, np.where(complete, end - 1, end))
+    lowest = _range_reduce(np.minimum, flat_levels, base + start + 1, base + hi)
+    highest = _range_reduce(np.maximum, flat_levels, base + start + 1, base + hi)
+    off = np.where(is_b, lowest > at_start, highest < at_start)
+    need(off | (hi == start), row, "a window touches its start level inside")
+    closes_at = np.where(has_tau, tau, end)
+    closes = has_tau | (is_b & complete)
+    need(
+        ~closes | (flat_levels[base + closes_at] == at_start),
+        row,
+        "a window does not close at its start level",
+    )
+    # the padding: after the A-part, up to the closing head or flip n
+    a_part = np.flatnonzero(has_tau)
+    pad_lo = (base + tau + 1)[a_part]
+    pad_hi = (base + np.where(complete, end - 1, end))[a_part]
+    if a_part.size:
+        pad_heads = _range_reduce(np.maximum, flat_flips, pad_lo, pad_hi)
+        need((pad_heads == 0) | (pad_hi < pad_lo), row[a_part], "a head inside the padding")
+    return min(faults, key=itemgetter(0), default=None)
+
+
 def _check_round_trip() -> tuple[bool, str]:
-    for n in range(1, 17):
-        for b in range(1 << n):
-            seq = FlipSequence(b, n)
-            if decompose(seq).serialize() != seq:
-                return False, f"round-trip failed at {seq}"
+    for seqs, flips in _short_blocks(16):
+        levels = _levels(flips)
+        for seq, row in zip(seqs, levels.tolist()):
+            if row != score_series(seq):
+                return False, f"the check's levels differ from score_series at {seq}"
+        fault = _parse_fault(seqs, [decompose(s) for s in seqs], flips, levels)
+        if fault is not None:
+            row, reason = fault
+            return False, f"{reason} at {seqs[row]}"
     rng = _substream(104)
-    randoms = 10**5
-    for _ in range(randoms):
-        seq = _random_sequence(rng, 1000)
-        if decompose(seq).serialize() != seq:
-            return False, "round-trip failed at a random length-1000 sequence"
-    return True, f"exhaustive to length 16 plus {randoms} random length-1000 sequences"
+    randoms, length = 10**5, 1000
+    block = min(_PARSE_BLOCK_SEQS, _PARSE_BLOCK_CELLS // length)
+    for done in range(0, randoms, block):
+        seqs, flips = _random_block(rng, min(block, randoms - done), length)
+        fault = _parse_fault(seqs, [decompose(s) for s in seqs], flips, _levels(flips))
+        if fault is not None:
+            row, reason = fault
+            return False, f"{reason} in random length-{length} sequence {done + row}"
+    return True, (
+        f"every parse checked against its own score levels: exhaustive to length 16 "
+        f"plus {randoms} random length-{length} sequences"
+    )
 
 
 def _check_interior_scores() -> tuple[bool, str]:
-    slots_seen = 0
-    for n in range(1, 15):
-        for b in range(1 << n):
-            for slot in decompose(FlipSequence(b, n)).slots:
-                series = score_series(slot.content)
-                if slot.kind is SlotKind.B and slot.complete:
-                    if not all(v > 0 for v in series[1:-1]):
-                        return False, f"B window interior not positive in {FlipSequence(b, n)}"
-                    slots_seen += 1
-                elif slot.kind is SlotKind.A and slot.tau_end is not None:
-                    tau_len = slot.tau_end - slot.start_index + 1
-                    if not all(v < 0 for v in series[1 : tau_len - 1]):
-                        return False, f"A-part interior not negative in {FlipSequence(b, n)}"
-                    if series[tau_len - 1] != 0:
-                        return False, f"A-part does not close at zero in {FlipSequence(b, n)}"
-                    slots_seen += 1
-    return True, f"interior score signs hold in {slots_seen} parsed windows, n <= 14"
+    windows = 0
+    for seqs, flips in _short_blocks(14):
+        decomps = [decompose(s) for s in seqs]
+        fault = _parse_fault(seqs, decomps, flips, _levels(flips))
+        if fault is not None:
+            row, reason = fault
+            return False, f"{reason} at {seqs[row]}"
+        windows += sum(len(d.slots) for d in decomps)
+    return True, f"window levels and interior signs hold in {windows} parsed windows, n <= 14"
 
 
 def _decompose_reference(seq: FlipSequence) -> Decomposition:
@@ -516,11 +701,12 @@ def run_all(report: Callable[[InvariantResult], None] | None = None) -> list[Inv
     """Run every registered check, optionally reporting each as it finishes."""
     results = []
     for name, fn in CHECKS:
+        start = perf_counter()
         try:
             ok, detail = fn()
         except Exception as exc:  # a crash is a failure, not an abort
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        result = InvariantResult(name, ok, detail)
+        result = InvariantResult(name, ok, detail, perf_counter() - start)
         if report is not None:
             report(result)
         results.append(result)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +25,14 @@ from coinduel import (
     score_series,
 )
 from coinduel.montecarlo import SimConfig, _substream, simulate_game
-from coinduel.verify import _decompose_reference
+from coinduel.excursions import _LEVEL_ARRAY_MIN_FLIPS
+from coinduel.verify import _decompose_reference, _levels, _parse_fault
+
+
+def _packed_flips(seq: FlipSequence) -> np.ndarray:
+    """The flips of seq as a one-row 0/1 array, heads = 1."""
+    packed = np.frombuffer(seq.bits.to_bytes((seq.length + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(packed, count=seq.length, bitorder="little")[None, :]
 
 texts = st.text(alphabet="HT", min_size=1, max_size=120)
 long_texts = st.text(alphabet="HT", min_size=200, max_size=400)
@@ -238,8 +246,10 @@ class TestDecompose:
         assert decompose(seq).serialize() == seq
 
     def test_parser_paths_agree(self):
+        # both level sources: score_series below the crossover, the level
+        # array from it on
         rng = np.random.default_rng(5)
-        for n in range(1, 601):
+        for n in range(1, max(601, _LEVEL_ARRAY_MIN_FLIPS + 101)):
             bits = int.from_bytes(rng.bytes((n + 7) // 8), "little") & ((1 << n) - 1)
             seq = FlipSequence(bits, n)
             assert decompose(seq) == _decompose_reference(seq), n
@@ -274,6 +284,17 @@ class TestDecompose:
                 ],
                 False,
             ),
+            # the B window climbs to 256, which is S_1 mod 256, and comes back:
+            # the score range is exactly 256
+            ("HT" * 256 + "H" * 257, [(1, 769, SlotKind.B, None, True)], True),
+            # the A-part sinks to -300 and comes back, passing -256 twice
+            ("H" * 301 + "T" + "HT" * 299 + "TTH", [(1, 903, SlotKind.A, 900, True)], True),
+            # the same A-part as the second window, after a closed B window
+            (
+                "HTHH" + "H" * 300 + "T" + "HT" * 299 + "TH",
+                [(1, 4, SlotKind.B, None, True), (4, 905, SlotKind.A, 903, True)],
+                True,
+            ),
         ],
     )
     def test_lookup_edges(self, text, windows, trailing):
@@ -284,6 +305,32 @@ class TestDecompose:
         assert (d.trailing is not None) == trailing
         assert d.serialize() == seq
         assert d == _decompose_reference(seq)
+
+    @settings(deadline=None, max_examples=12)
+    @given(st.integers(10**3, 10**5), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))
+    def test_window_levels_hold_on_long_sequences(self, n, p, seed):
+        # biased coins give long windows and score ranges past 256
+        heads = np.random.default_rng(seed).random(n) < p
+        packed = np.packbits(heads, bitorder="little").tobytes()
+        seq = FlipSequence(int.from_bytes(packed, "little"), n)
+        d = decompose(seq)
+        rows = _packed_flips(seq)
+        assert _parse_fault([seq], [d], rows, _levels(rows)) is None
+        assert d == _decompose_reference(seq)
+
+    @settings(deadline=None, max_examples=12)
+    @given(st.integers(10**3, 10**5), st.integers(0, 2**32 - 1), st.data())
+    def test_window_levels_reject_a_moved_window(self, n, seed, data):
+        bits = int.from_bytes(np.random.default_rng(seed).bytes(n // 8), "little")
+        seq = FlipSequence(bits, n // 8 * 8)
+        rows = _packed_flips(seq)
+        d = decompose(seq)
+        k = data.draw(st.integers(0, len(d.slots) - 1))
+        slot = d.slots[k]
+        moved = slot._replace(end_index=slot.end_index - 1)
+        wrong = dataclasses.replace(d, slots=(*d.slots[:k], moved, *d.slots[k + 1 :]))
+        assert _parse_fault([seq], [d], rows, _levels(rows)) is None
+        assert _parse_fault([seq], [wrong], rows, _levels(rows)) is not None
 
     @given(texts)
     def test_interior_window_scores(self, text):

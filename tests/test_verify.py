@@ -1,8 +1,15 @@
 import ast
+import dataclasses
+import itertools
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from coinduel import verify
+from coinduel.core import FlipSequence, parse_sequence
 from coinduel.cli import dispatch
+from coinduel.excursions import Decomposition, Slot, SlotKind, decompose
 
 import test_acceptance  # tests/ is on sys.path under pytest's default import mode
 
@@ -39,12 +46,24 @@ STUBS = [("stub.holds", _holds), ("stub.fails", _fails), ("stub.raises", _raises
 
 def test_verify_reports_failures_and_crashes(monkeypatch, capsys):
     monkeypatch.setattr(verify, "CHECKS", STUBS)
+    # a clock that moves 1.25 s between reads: every check takes 1.25 s
+    monkeypatch.setattr(verify, "perf_counter", itertools.count(0.0, 1.25).__next__)
     assert dispatch(["verify"]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "PASS stub.holds: holds",
-        "FAIL stub.fails: off by one",
-        "FAIL stub.raises: raised RuntimeError: boom",
+        "PASS stub.holds: holds [1.25 s]",
+        "FAIL stub.fails: off by one [1.25 s]",
+        "FAIL stub.raises: raised RuntimeError: boom [1.25 s]",
         "1/3 invariants hold",
+    ]
+
+
+def test_run_all_times_each_check(monkeypatch):
+    monkeypatch.setattr(verify, "CHECKS", STUBS)
+    monkeypatch.setattr(verify, "perf_counter", itertools.count(10.0, 0.5).__next__)
+    assert [(r.name, r.ok, r.seconds) for r in verify.run_all()] == [
+        ("stub.holds", True, 0.5),
+        ("stub.fails", False, 0.5),
+        ("stub.raises", False, 0.5),
     ]
 
 
@@ -62,3 +81,198 @@ def test_acceptance_main_reports_failures_and_crashes(monkeypatch, capsys):
         "FAIL stub.renamed: no verify check named stub.renamed",
         "1/4 acceptance criteria hold",
     ]
+
+
+# wrong parses the window checks must reject, each a change to one slot
+# (the first that can take it) or to the whole parse
+_OTHER_KIND = {SlotKind.A: SlotKind.B, SlotKind.B: SlotKind.A}
+
+
+def _change_first(decomp, can_take, change):
+    for i, slot in enumerate(decomp.slots):
+        if can_take(slot):
+            slots = (*decomp.slots[:i], change(slot), *decomp.slots[i + 1 :])
+            return dataclasses.replace(decomp, slots=slots)
+    return decomp
+
+
+def _scramble(decomp):
+    # every kind swapped, and a tau_end on exactly the windows that lack one
+    slots = tuple(
+        s._replace(kind=_OTHER_KIND[s.kind], tau_end=s.end_index if s.tau_end is None else None)
+        for s in decomp.slots
+    )
+    return dataclasses.replace(decomp, slots=slots)
+
+
+def _swallow_next(decomp):
+    # the first window with an A-part runs on over the window after it
+    for i, (slot, after) in enumerate(zip(decomp.slots, decomp.slots[1:])):
+        if slot.tau_end is not None:
+            merged = slot._replace(end_index=after.end_index, complete=after.complete)
+            slots = (*decomp.slots[:i], merged, *decomp.slots[i + 2 :])
+            return dataclasses.replace(decomp, slots=slots)
+    return decomp
+
+
+def _any(slot):
+    return True
+
+
+def _has_tau(slot):
+    return slot.tau_end is not None
+
+
+WRONG_PARSES = {
+    "kind swapped": lambda d: _change_first(d, _any, lambda s: s._replace(kind=_OTHER_KIND[s.kind])),
+    "tau_end + 1": lambda d: _change_first(d, _has_tau, lambda s: s._replace(tau_end=s.tau_end + 1)),
+    "tau_end - 1": lambda d: _change_first(d, _has_tau, lambda s: s._replace(tau_end=s.tau_end - 1)),
+    "complete flipped": lambda d: _change_first(
+        d, _any, lambda s: s._replace(complete=not s.complete)
+    ),
+    "trailing dropped": lambda d: dataclasses.replace(d, trailing=None),
+    "every window scrambled": _scramble,
+    "an A window swallows the next": _swallow_next,
+}
+
+
+@pytest.mark.parametrize("check", [verify._check_round_trip, verify._check_interior_scores])
+@pytest.mark.parametrize("wrong", sorted(WRONG_PARSES))
+def test_window_checks_reject_a_wrong_parse(monkeypatch, check, wrong):
+    real = verify.decompose
+    monkeypatch.setattr(verify, "decompose", lambda seq: WRONG_PARSES[wrong](real(seq)))
+    ok, detail = check()
+    assert not ok, detail
+
+
+def test_round_trip_checks_its_random_sequences(monkeypatch):
+    # the short sequences parse correctly, so only the random part can fail
+    real = verify.decompose
+
+    def wrong_when_long(seq):
+        d = real(seq)
+        return WRONG_PARSES["complete flipped"](d) if seq.length == 1000 else d
+
+    monkeypatch.setattr(verify, "decompose", wrong_when_long)
+    assert verify._check_round_trip() == (
+        False,
+        "an open window ends before flip n in random length-1000 sequence 0",
+    )
+
+
+def _slot(seq, start, end, kind, tau_end, complete):
+    return Slot(start, end, SlotKind(kind), tau_end, complete, seq)
+
+
+def _parse(text, slots, trailing, **fields):
+    """A parse of text with the given windows, as (start, end, kind, tau_end, complete)."""
+    seq = parse_sequence(text)
+    first = text.find("H") + 1
+    return seq, Decomposition(
+        length=fields.get("length", seq.length),
+        initial_tailrun_len=fields.get("initial_tailrun_len", first - 1),
+        first_head_pos=fields.get("first_head_pos", first),
+        slots=tuple(_slot(fields.get("source", seq), *s) for s in slots),
+        trailing=_slot(seq, seq.length, seq.length, "Undetermined", None, False) if trailing else None,
+    )
+
+
+# HTHHHTTH parses as B(1, 4) and an A window (4, 8) whose A-part ends at 6
+_B_THEN_A = [(1, 4, "B", None, True), (4, 8, "A", 6, True)]
+
+
+@pytest.mark.parametrize(
+    "text,slots,trailing,fields,reason",
+    [
+        ("HTHHHTTH", _B_THEN_A, True, {"length": 9}, "wrong length"),
+        ("HTHHHTTH", _B_THEN_A, True, {"first_head_pos": 2}, "wrong first head"),
+        ("HTHHHTTH", _B_THEN_A, True, {"initial_tailrun_len": 1}, "wrong initial tailrun"),
+        (
+            "HTHHHTTH",
+            _B_THEN_A,
+            True,
+            {"source": FlipSequence(0b10111001, 8)},
+            "a window's source is not the parsed sequence",
+        ),
+        (
+            "HTHHHTTH",
+            [(1, 4, "B", None, True), (5, 8, "A", 6, True)],
+            True,
+            {},
+            "windows do not tile from the first head",
+        ),
+        (
+            "HTHHHTTH",
+            [(1, 4, "B", None, True), (4, 9, "A", 6, True)],
+            True,
+            {},
+            "a window ends before it starts or after flip n",
+        ),
+        (
+            "HTHHHTTH",
+            [(1, 4, "B", None, True), (4, 8, "Undetermined", 6, True)],
+            True,
+            {},
+            "a window is neither A nor B",
+        ),
+        (
+            "HTHHHTTH",
+            [(1, 4, "B", 3, True), (4, 8, "A", 6, True)],
+            True,
+            {},
+            "misplaced tau_end",
+        ),
+        (
+            "HTHHHTTH",
+            [(1, 4, "B", None, True), (4, 8, "A", None, True)],
+            True,
+            {},
+            "a closed A window has no tau_end",
+        ),
+        (
+            "HTHHHTTH",
+            [(1, 4, "B", None, False), (4, 8, "A", 6, True)],
+            True,
+            {},
+            "an open window ends before flip n",
+        ),
+        ("HTHHHTTH", _B_THEN_A[:1], True, {}, "the windows stop before flip n"),
+        ("HTHHHTTH", _B_THEN_A, False, {}, "wrong trailing head"),
+        ("HT", [(1, 2, "A", None, False)], False, {}, "a window's kind is not the flip after its head"),
+        # the A window claims to close on flip 4, a tail
+        (
+            "HHTTHT",
+            [(1, 4, "A", 3, True), (4, 6, "A", None, False)],
+            False,
+            {},
+            "a closed window does not end on a head",
+        ),
+        # one B window over two: the score is back at 0 on flip 4
+        ("HTHHTHH", [(1, 7, "B", None, True)], True, {}, "a window touches its start level inside"),
+        (
+            "HTHH",
+            [(1, 3, "B", None, True), (3, 4, "A", None, False)],
+            False,
+            {},
+            "a window does not close at its start level",
+        ),
+        # one A window over two: its padding runs over the head on flip 4
+        ("HHTHHTH", [(1, 7, "A", 3, True)], True, {}, "a head inside the padding"),
+    ],
+)
+def test_parse_fault_names_each_broken_rule(text, slots, trailing, fields, reason):
+    seq, wrong = _parse(text, slots, trailing, **fields)
+    flips = np.array([[c == "H" for c in text]], dtype=np.uint8)
+    levels = verify._levels(flips)
+    assert verify._parse_fault([seq], [decompose(seq)], flips, levels) is None
+    assert verify._parse_fault([seq], [wrong], flips, levels) == (0, reason)
+
+
+@pytest.mark.parametrize("length", [1, 7, 8, 13, 1000, 1001])
+def test_random_block_draws_what_single_draws_would(length):
+    block_rng, single_rng = verify._substream(104), verify._substream(104)
+    seqs, flips = verify._random_block(block_rng, 37, length)
+    assert seqs == [verify._random_sequence(single_rng, length) for _ in range(37)]
+    assert flips.tolist() == [[(s.bits >> i) & 1 for i in range(length)] for s in seqs]
+    # and both generators stand at the same place afterwards
+    assert block_rng.bytes(8) == single_rng.bytes(8)
