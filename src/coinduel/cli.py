@@ -8,10 +8,9 @@ is tagged with the method that produced it:
 
   enum        exhaustive enumeration (exact)
   dp-exact    rational forward DP (exact)
-  dp-float    float forward DP (dp --mode float up to n = 4096, table above
-              that); carries rounding_bound
-  fft-float   saddle-tilted transform (dp --mode float above n = 4096);
-              carries rounding_bound
+  dp-float    float forward DP (table rows above n = 4096)
+  fft-float   saddle-tilted transform (dp --mode float, every n); carries
+              rounding_bound
   recurrence  the fair-coin recurrence, each row rounded once (table)
   renewal     the count_rx recurrence and the renewal convolution
   asym        leading-order sqrt(n) laws
@@ -99,11 +98,11 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_dp(args) -> int:
-    if args.mode == "float" and args.n > DP_EXACT_MAX_N:
-        _emit(_law_record("dp", "fft-float", transform_distribution(args.n, Fraction(args.p))))
-        return 0
-    dist = dp_distribution(args.n, Fraction(args.p), mode=args.mode)
-    _emit(_law_record("dp", f"dp-{args.mode}", dist))
+    p = Fraction(args.p)
+    if args.mode == "float":
+        _emit(_law_record("dp", "fft-float", transform_distribution(args.n, p)))
+    else:
+        _emit(_law_record("dp", "dp-exact", dp_distribution(args.n, p)))
     return 0
 
 
@@ -305,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p", default="1/2", help="head probability, e.g. 1/2 or 0.4")
     s.set_defaults(handler=_cmd_exact)
 
-    s = sub.add_parser("dp", help="forward DP, exact rationals or floats")
+    s = sub.add_parser("dp", help="exact rational DP, or the float transform")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--p", default="1/2")
     s.add_argument("--mode", choices=("exact", "float"), default="exact")

@@ -1,7 +1,8 @@
 """Ground-truth solvers: exhaustive enumeration over all 2^n sequences and
 an exact forward DP over (last flip, score) states, both with arbitrary
-head probability p; and a float solver that reads the same law off one FFT
-of the score chain's generating function, in O(n log n).
+head probability p; and the float solver, transform_distribution, which
+reads the same law off one FFT of the score chain's generating function, in
+O(n log n).  The DP's float twin, dp_float_series, is its O(n^2) oracle.
 
 Everything reports the final-score trichotomy pA = P(S_n < 0),
 pB = P(S_n > 0), pTie = P(S_n = 0): Alice collects a point per HH, Bob per
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -220,28 +221,19 @@ def _rounding_bound(n: int) -> float:
     return (3.0 * n + 64.0) * 2.0**-53
 
 
-def dp_distribution(
-    n: int, p=Fraction(1, 2), mode: str = "exact"
-) -> Union[ExactDistribution, FloatDistribution]:
-    """Distribution of the final-score sign after n flips, by forward DP."""
+def dp_distribution(n: int, p=Fraction(1, 2)) -> ExactDistribution:
+    """Distribution of the final-score sign after n flips, by exact forward DP."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if mode == "exact":
-        if n > DP_EXACT_MAX_N:
-            raise ValueError(f"exact mode is capped at n = {DP_EXACT_MAX_N}")
-        p = _as_probability(p)
-        for _, below, equal, above in _dp_scan(n, p):
-            pass
-        denom = p.denominator**n
-        return ExactDistribution(
-            n, p, Fraction(below, denom), Fraction(above, denom), Fraction(equal, denom)
-        )
-    if mode == "float":
-        pf = float(p)
-        _, h, t = next(_dp_float_bands(n, pf, (n,)))
-        below, equal, above = _float_sign_sums(h, t, n)
-        return FloatDistribution(n, pf, below, above, equal, _rounding_bound(n))
-    raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
+    if n > DP_EXACT_MAX_N:
+        raise ValueError(f"exact mode is capped at n = {DP_EXACT_MAX_N}")
+    p = _as_probability(p)
+    for _, below, equal, above in _dp_scan(n, p):
+        pass
+    denom = p.denominator**n
+    return ExactDistribution(
+        n, p, Fraction(below, denom), Fraction(above, denom), Fraction(equal, denom)
+    )
 
 
 def dp_series(n_max: int, p=Fraction(1, 2)) -> list[ExactDistribution]:

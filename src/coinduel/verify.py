@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import is_, is_not, itemgetter
 from time import perf_counter
 from typing import Callable
@@ -206,13 +206,27 @@ def _random_block(
     # 32-bit words, so one draw of count rows of words reads the same stream
     words = rng.integers(0, 1 << 32, size=(count, -(-width // 4)), dtype=np.uint32)
     packed = words.astype("<u4", copy=False).view(np.uint8)[:, :width]
+    flips = np.unpackbits(packed, axis=1, count=length, bitorder="little")
+    return _packed_sequences(packed, length), flips
+
+
+def _biased_block(
+    rng: np.random.Generator, count: int, length: int, p: float
+) -> tuple[list[FlipSequence], np.ndarray]:
+    """count sequences of length flips at head probability p, and their flips."""
+    flips = (rng.random((count, length)) < p).view(np.uint8)
+    return _packed_sequences(np.packbits(flips, axis=1, bitorder="little"), length), flips
+
+
+def _packed_sequences(packed: np.ndarray, length: int) -> list[FlipSequence]:
+    """One sequence per row of packed, its flips as little-endian bits cut to length."""
+    width = packed.shape[1]
     data = packed.tobytes()
     mask = (1 << length) - 1
-    seqs = [
+    return [
         FlipSequence(int.from_bytes(data[i : i + width], "little") & mask, length)
         for i in range(0, len(data), width)
     ]
-    return seqs, np.unpackbits(packed, axis=1, count=length, bitorder="little")
 
 
 def _levels(flips: np.ndarray) -> np.ndarray:
@@ -387,15 +401,35 @@ def _check_round_trip() -> tuple[bool, str]:
 
 
 def _check_interior_scores() -> tuple[bool, str]:
-    windows = 0
-    for seqs, flips in _short_blocks(14):
+    # a biased coin drifts the score, so these parses reach decompose's
+    # wide-level path, where a byte match of the levels mod 256 is checked
+    # against the true levels: at head probability 0.8 every length-2000
+    # sequence spans 256 levels or more.  A drifting parse almost never
+    # ends on a closed window, so the short sequences cover the
+    # trailing-head rule.
+    rng = _substream(106)
+    count, length, short = 250, 2000, 8
+    blocks = chain(
+        ((None, *block) for block in _short_blocks(short)),
+        ((p, *_biased_block(rng, count, length, p)) for p in (0.2, 0.8)),
+    )
+    windows = wide = 0
+    for p, seqs, flips in blocks:
+        levels = _levels(flips)
+        wide += int(np.count_nonzero(levels.max(axis=1) - levels.min(axis=1) >= 256))
         decomps = [decompose(s) for s in seqs]
-        fault = _parse_fault(seqs, decomps, flips, _levels(flips))
+        fault = _parse_fault(seqs, decomps, flips, levels)
         if fault is not None:
             row, reason = fault
-            return False, f"{reason} at {seqs[row]}"
+            if p is None:
+                return False, f"{reason} at {seqs[row]}"
+            return False, f"{reason} in length-{length} sequence {row} at head probability {p}"
         windows += sum(len(d.slots) for d in decomps)
-    return True, f"window levels and interior signs hold in {windows} parsed windows, n <= 14"
+    return True, (
+        f"window levels and interior signs hold in {windows} windows: {count} seeded "
+        f"length-{length} sequences at each head probability 0.2 and 0.8 ({wide} of them "
+        f"spanning 256 levels or more) and every sequence to length {short}"
+    )
 
 
 def _decompose_reference(seq: FlipSequence) -> Decomposition:
@@ -502,7 +536,8 @@ def _check_equality_edge() -> tuple[bool, str]:
     return True, "pA = pB at n in {1, 2}"
 
 
-_TRANSFORM_CHECK_N = (4097, 6000, 8192, 10_000)
+# the rows of the one fair_scan pass that test the transform
+_TRANSFORM_CHECK_N = (1, 2, 3, 100, 1000, 2000, 4096, 4097, 6000, 8192, 10_000)
 
 
 def _fair_gap(f, n: int, below: int, equal: int, above: int) -> float:
@@ -513,24 +548,25 @@ def _fair_gap(f, n: int, below: int, equal: int, above: int) -> float:
 
 def _check_float_drift() -> tuple[bool, str]:
     # the exact side is one fair_scan pass, which the bridge check pins to
-    # the exact DP; its first 2000 rows test the float DP, later ones the
-    # transform
-    scan = fair_scan(10_000)
-    worst = 0.0
-    for (n, *counts), f in zip(islice(scan, 2000), dp_float_series(2000), strict=True):
-        drift = _fair_gap(f, n, *counts)
-        worst = max(worst, drift)
-        if drift > f.rounding_bound:
-            return False, f"drift {drift:.3e} exceeds bound at n = {n}"
-    worst_share = 0.0
-    for n, *counts in scan:
-        if n not in _TRANSFORM_CHECK_N:
-            continue
-        f = transform_distribution(n, 0.5)
-        error = _fair_gap(f, n, *counts)
-        worst_share = max(worst_share, error / f.rounding_bound)
-        if error > f.rounding_bound:
-            return False, f"transform error {error:.3e} exceeds its bound at n = {n}"
+    # the exact DP; its first 2000 rows test the float DP, the rows in
+    # _TRANSFORM_CHECK_N the transform
+    dp_rows = iter(dp_float_series(2000))
+    worst = worst_share = 0.0
+    for n, *counts in fair_scan(10_000):
+        if n <= 2000:
+            f = next(dp_rows)
+            drift = _fair_gap(f, n, *counts)
+            worst = max(worst, drift)
+            if drift > f.rounding_bound:
+                return False, f"drift {drift:.3e} exceeds bound at n = {n}"
+        if n in _TRANSFORM_CHECK_N:
+            f = transform_distribution(n, 0.5)
+            error = _fair_gap(f, n, *counts)
+            if error > f.rounding_bound:
+                return False, f"transform error {error:.3e} exceeds its bound at n = {n}"
+            # at n = 1 both the error and the bound are 0
+            if error:
+                worst_share = max(worst_share, error / f.rounding_bound)
     return True, (
         f"float DP tracks exact law for n <= 2000 (worst drift {worst:.2e}); "
         f"transform within its bound at n = {', '.join(map(str, _TRANSFORM_CHECK_N))} "
@@ -539,7 +575,7 @@ def _check_float_drift() -> tuple[bool, str]:
 
 
 def _check_bias_increasing() -> tuple[bool, str]:
-    values = [dp_distribution(n, 0.6, mode="float").pA for n in (50, 100, 200, 500)]
+    values = [transform_distribution(n, 0.6).pA for n in (50, 100, 200, 500)]
     if not all(x < y for x, y in zip(values, values[1:])):
         return False, f"pA not increasing: {values}"
     if not values[-1] > 0.95:
@@ -622,7 +658,7 @@ def _check_pi_asymptotics() -> tuple[bool, str]:
 
 def _check_desk_scale_laws() -> tuple[bool, str]:
     n = 10**4
-    dist = dp_distribution(n, mode="float")
+    dist = transform_distribution(n)
     root = math.sqrt(n)
     gap_ratio = (dist.pB - dist.pA) * root / ASYMPTOTIC_C
     tie_ratio = dist.pTie * root / (2.0 * ASYMPTOTIC_C)

@@ -7,6 +7,7 @@ byte-equality tests pin both the numbers and the serialization format.
 """
 
 import json
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 GOLDENS = Path(__file__).parent / "goldens"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(*args, check=True):
@@ -55,7 +57,7 @@ class TestGoldens:
                 ["mc", "--n", "3", "--trials", "1000", "--seed", "7"],
             ),
             ("walk_s1000_seed3.json", ["walk", "--steps", "1000", "--seed", "3"]),
-            # the largest n the float DP still answers
+            # the largest n the exact DP answers, in floats from the transform
             ("dp_n4096_float.json", ["dp", "--n", "4096", "--mode", "float"]),
         ],
     )
@@ -188,27 +190,73 @@ class TestSemantics:
                 dist = series[int(n) - 1]
                 assert [float(v) for v in values[:4]] == [getattr(dist, key) for key in keys]
 
-    def test_dp_float_above_exact_cap_is_transform(self, capsys):
+    def test_dp_float_is_transform_at_every_n(self, capsys):
         from coinduel.cli import dispatch
         from coinduel.exact import transform_distribution
 
-        assert dispatch(["dp", "--n", "4097", "--mode", "float", "--p", "0.6"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        dist = transform_distribution(4097, 0.6)
-        assert doc["method"] == "fft-float"
-        assert [doc[key] for key in ("n", "p", "pA", "pB", "pTie", "rounding_bound")] == [
-            4097,
-            0.6,
-            dist.pA,
-            dist.pB,
-            dist.pTie,
-            dist.rounding_bound,
-        ]
+        for n in (1, 2, 3, 100, 4096, 4097):
+            for p in ("0.5", "0.6", "1/3"):
+                assert dispatch(["dp", "--n", str(n), "--mode", "float", "--p", p]) == 0
+                doc = json.loads(capsys.readouterr().out)
+                dist = transform_distribution(n, Fraction(p))
+                assert doc["method"] == "fft-float", (n, p)
+                assert [doc[key] for key in ("n", "p", "pA", "pB", "pTie", "rounding_bound")] == [
+                    n,
+                    float(Fraction(p)),
+                    dist.pA,
+                    dist.pB,
+                    dist.pTie,
+                    dist.rounding_bound,
+                ], (n, p)
+
+    def test_dp_float_never_runs_the_float_dp(self, monkeypatch, capsys):
+        from coinduel import cli, exact
+
+        def refuse(*args):
+            raise AssertionError("dp --mode float ran the float DP")
+
+        monkeypatch.setattr(exact, "_dp_float_bands", refuse)
+        monkeypatch.setattr(cli, "_dp_float_bands", refuse)
+        for n in (1, 100, 4096):
+            assert cli.dispatch(["dp", "--n", str(n), "--mode", "float"]) == 0
+            assert json.loads(capsys.readouterr().out)["method"] == "fft-float"
 
     def test_walk_report_fields(self):
         doc = json.loads(golden("walk_s1000_seed3.json"))
         assert doc["steps"] == 1000 and doc["seed"] == 3
         assert doc["zero_hits"] >= 1
+
+
+def readme_examples():
+    """(command, shown output) for each `$ coinduel ...` line of README.md
+    that has an output line under it."""
+    lines = README.read_text().splitlines()
+    return [
+        (line.removeprefix("$ coinduel "), shown)
+        for line, shown in zip(lines, lines[1:])
+        if line.startswith("$ coinduel ") and shown and not shown.startswith(("$", "```"))
+    ]
+
+
+README_EXAMPLES = readme_examples()
+
+
+class TestReadme:
+    def test_examples_are_found(self):
+        assert len(README_EXAMPLES) >= 5
+
+    @pytest.mark.parametrize("command,shown", README_EXAMPLES, ids=[c for c, _ in README_EXAMPLES])
+    def test_example_output_is_current(self, command, shown, capsys):
+        from coinduel.cli import dispatch
+
+        assert dispatch(shlex.split(command)) == 0
+        out = capsys.readouterr().out
+        # the README elides the rest of a long line with "..."
+        head, elided, _ = shown.partition("...")
+        if elided:
+            assert out.startswith(head)
+        else:
+            assert out == shown + "\n"
 
 
 class TestDeterminism:

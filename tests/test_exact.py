@@ -19,7 +19,13 @@ from coinduel import (
     transform_distribution,
 )
 from coinduel import exact
-from coinduel.exact import _dp_float_bands, _dp_scan, _fft_length, _saddle_tilt
+from coinduel.exact import (
+    _dp_float_bands,
+    _dp_scan,
+    _fft_length,
+    _float_sign_sums,
+    _saddle_tilt,
+)
 from coinduel.renewal import fair_scan
 
 probs = st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100))
@@ -180,18 +186,9 @@ class TestDPFloat:
             for a, b in ((e.pA, f.pA), (e.pB, f.pB), (e.pTie, f.pTie)):
                 assert abs(float(a) - b) <= f.rounding_bound
 
-    def test_last_step_matches_series(self):
-        # dp_distribution sums only the last band; the series sums every one
-        for p in (0.5, 0.6, 0.1):
-            for n in (1, 2, 3, 77, 1000):
-                single = dp_distribution(n, p, mode="float")
-                last = dp_float_series(n, p)[-1]
-                assert (single.pA, single.pB, single.pTie) == (last.pA, last.pB, last.pTie)
-
     def test_series_stores_p_as_float(self):
         series = dp_float_series(5, Fraction(1, 2))
         assert all(type(f.p) is float and f.p == 0.5 for f in series)
-        assert series[-1] == dp_distribution(5, Fraction(1, 2), mode="float")
 
     def test_sum_near_one(self):
         f = dp_float_series(2000)[-1]
@@ -231,11 +228,18 @@ class TestDPFloat:
             dp_float_series(10, 1.0)
 
 
+def float_dp_law(n: int, p: float) -> tuple[float, float, float]:
+    """(pA, pB, pTie) from the float DP's last band: the transform's oracle."""
+    _, h, t = next(_dp_float_bands(n, p, (n,)))
+    below, equal, above = _float_sign_sums(h, t, n)
+    return below, above, equal
+
+
 def _relative_gaps(dist, oracle):
     """|dist - oracle| / oracle on every class where oracle is a normal float."""
     return [
         abs(got - want) / want
-        for got, want in zip((dist.pA, dist.pB, dist.pTie), (oracle.pA, oracle.pB, oracle.pTie))
+        for got, want in zip((dist.pA, dist.pB, dist.pTie), oracle)
         if want >= sys.float_info.min
     ]
 
@@ -254,13 +258,13 @@ class TestTransform:
     @pytest.mark.parametrize("p", [0.05, 1 / 3, 0.4, 0.6, 0.95])
     @pytest.mark.parametrize("n", [4097, 6000])
     def test_matches_float_dp_relatively(self, n, p):
-        gaps = _relative_gaps(transform_distribution(n, p), dp_distribution(n, p, mode="float"))
+        gaps = _relative_gaps(transform_distribution(n, p), float_dp_law(n, p))
         assert gaps and max(gaps) <= 1e-11
 
     @given(st.integers(2, 3000), st.floats(0.01, 0.99))
     @settings(max_examples=25, deadline=None)
     def test_matches_float_dp_at_random_points(self, n, p):
-        gaps = _relative_gaps(transform_distribution(n, p), dp_distribution(n, p, mode="float"))
+        gaps = _relative_gaps(transform_distribution(n, p), float_dp_law(n, p))
         assert max(gaps) <= 1e-11
 
     @pytest.mark.parametrize("p", [Fraction(3, 5), Fraction(1, 3), Fraction(9, 10)], ids=str)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coinduel import verify
+from coinduel import excursions, verify
 from coinduel.core import FlipSequence, parse_sequence
 from coinduel.cli import dispatch
 from coinduel.excursions import Decomposition, Slot, SlotKind, decompose
@@ -158,6 +158,15 @@ def test_round_trip_checks_its_random_sequences(monkeypatch):
         False,
         "an open window ends before flip n in random length-1000 sequence 0",
     )
+
+
+def test_interior_check_reaches_the_wide_level_path(monkeypatch):
+    # where the levels span 256 or more, decompose checks each byte match of
+    # the levels mod 256 against the true levels; trusting the first byte
+    # match instead must fail the check
+    monkeypatch.setattr(excursions, "_true_return", lambda levels, exact, e, j: j)
+    ok, detail = verify._check_interior_scores()
+    assert not ok, detail
 
 
 def _slot(seq, start, end, kind, tau_end, complete):
