@@ -694,17 +694,25 @@ def _check_mc_determinism() -> tuple[bool, str]:
 
 
 def _check_mc_calibration() -> tuple[bool, str]:
+    # p = 1/2 decides every flip from one raw word; p = 3/5 runs the
+    # sampler's digit-by-digit rounds
     n, trials, seeds = 50, 10**4, 200
-    exact_pb = float(dp_distribution(n).pB)
-    covered = 0
-    for seed in range(seeds):
-        result = simulate_game(SimConfig(n=n, trials=trials, seed=seed))
-        if abs(result.pB - exact_pb) <= 2.0 * result.stderr_b:
-            covered += 1
-    rate = covered / seeds
-    if rate < 0.9:
-        return False, f"coverage {rate:.1%} below 90% over {seeds} seeds"
-    return True, f"2-stderr interval covered exact pB in {rate:.1%} of {seeds} seeds"
+    rates = []
+    for p in (Fraction(1, 2), Fraction(3, 5)):
+        exact_pb = float(dp_distribution(n, p).pB)
+        covered = 0
+        for seed in range(seeds):
+            result = simulate_game(SimConfig(n=n, trials=trials, seed=seed, p=float(p)))
+            if abs(result.pB - exact_pb) <= 2.0 * result.stderr_b:
+                covered += 1
+        rate = covered / seeds
+        if rate < 0.9:
+            return False, f"coverage {rate:.1%} at p = {p} below 90% over {seeds} seeds"
+        rates.append(rate)
+    return True, (
+        f"2-stderr interval covered exact pB in {rates[0]:.1%} of {seeds} seeds at p = 1/2"
+        f" and {rates[1]:.1%} at p = 3/5"
+    )
 
 
 CHECKS: list[tuple[str, _Check]] = [

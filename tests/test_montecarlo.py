@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import pytest
 
 from coinduel import SimConfig, SimResult, dp_distribution, simulate_game
+from coinduel.montecarlo import _bernoulli_words, _pair_scores, _substream
 
 
 def run(n, trials, seed, **kw):
@@ -64,6 +66,69 @@ class TestCalibration:
         r = run(6, 4000, 17)
         q = r.wins_a / r.trials
         assert r.stderr_a == pytest.approx(math.sqrt(q * (1 - q) / r.trials))
+
+
+def reference_words(rng, count, p):
+    """Bernoulli(p) words one lane at a time in Python ints, drawing as the sampler does.
+
+    Round k compares digit k of p with digit k of U, one raw word for each word
+    that still has an undecided lane, in word order.
+    """
+    rest = Fraction(p)
+    heads = [0] * count
+    undecided = [set(range(64)) for _ in range(count)]
+    while rest and any(undecided):
+        rest *= 2
+        digit = int(rest >= 1)
+        rest -= digit
+        for word in range(count):
+            if not undecided[word]:
+                continue
+            raw = rng.bit_generator.random_raw()
+            for lane in sorted(undecided[word]):
+                bit = raw >> lane & 1
+                if bit != digit:
+                    undecided[word].discard(lane)
+                    if bit < digit:
+                        heads[word] |= 1 << lane
+    return heads
+
+
+class TestSampler:
+    @pytest.mark.parametrize("p", [0.5, 0.6, 1 / 3, 0.25, 2.0**-60, 1 - 2.0**-53])
+    @pytest.mark.parametrize("count", [1, 3, 40])
+    def test_matches_scalar_reference(self, p, count):
+        fast, slow = _substream(59, count), _substream(59, count)
+        words = _bernoulli_words(fast, count, p)
+        assert words.dtype.name == "uint64"
+        assert [int(w) for w in words] == reference_words(slow, count, p)
+        # both drew the same number of raw words, so the next block starts alike
+        assert fast.bit_generator.random_raw() == slow.bit_generator.random_raw()
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 1000])
+    @pytest.mark.parametrize("p", [0.5, 0.8])
+    def test_pair_scores_match_plain_count(self, n, p):
+        games = 25
+        width = -(-n // 64)
+        words = _bernoulli_words(_substream(n), width * games, p).reshape(width, games)
+        scores = _pair_scores(words, n)
+        for game in range(games):
+            flips = [int(words[i // 64, game]) >> (i % 64) & 1 for i in range(n)]
+            ht = sum(a and not b for a, b in zip(flips, flips[1:]))
+            hh = sum(a and b for a, b in zip(flips, flips[1:]))
+            assert scores[game] == ht - hh
+
+    @pytest.mark.parametrize(
+        "p", [Fraction(1, 4), Fraction(3, 8), Fraction(3, 5), Fraction(1, 3)]
+    )
+    def test_law_matches_dp(self, p):
+        # n = 70 spans two words, so pairs also cross a word edge
+        n, trials = 70, 10**5
+        exact = dp_distribution(n, p)
+        r = run(n, trials, 4242, p=float(p))
+        for estimate, q in ((r.pA, exact.pA), (r.pB, exact.pB), (r.pTie, exact.pTie)):
+            q = float(q)
+            assert abs(estimate - q) <= 4 * math.sqrt(q * (1 - q) / trials)
 
 
 class TestValidation:
