@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import HEADS, FlipSequence, reverse, score_series
 from .exact import _omega_scores
-from .montecarlo import _MAX_BLOCK_CELLS, _substream
+from .montecarlo import _flip_blocks
 
 EXCURSION_ENUM_CAP = 24
 
@@ -340,36 +340,76 @@ class CoupledDiffEstimate:
 # depth = -(window score) >= 1.
 _SEEK, _HEAD, _PAD, _A_PART = 0, 1, 2, 3
 
+# bytes one stride table may take; the stride narrows to stay within it
+_MAX_TABLE_BYTES = 4 << 20
 
-def _coupled_automaton(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Transition table (indexed by 2 * code + flip) and draw flags per code.
+
+def _coupled_automaton(n: int) -> np.ndarray:
+    """Transition table of one flip: row code, column flip.
 
     _SEEK waits for the first head.  _HEAD is the flip after a renewal head,
-    pinned to H by the coupling: it draws nothing and opens the A-part at
-    window score -1.  The A-part runs until its score returns to zero, then
-    _PAD reads the tail padding until the closing head, which is the next
-    renewal head.  A trial hits iff it ends position n in _PAD: n lies past
-    the A-part of the coupled window but before its closing head.
+    pinned to H by the coupling: both its flips open the A-part at window
+    score -1.  The A-part runs until its score returns to zero, then _PAD
+    reads the tail padding until the closing head, which is the next renewal
+    head.  A trial hits iff it ends position n in _PAD: n lies past the
+    A-part of the coupled window but before its closing head.
     """
     # within n positions the depth stays below n, so n levels hold every
     # reachable state; the clamp below only keeps the last level's
     # (unreachable) HH edge inside the table
     codes = _A_PART + 2 * n
-    step = np.empty(2 * codes, dtype=np.intp)
-    step[2 * _SEEK : 2 * _SEEK + 2] = (_SEEK, _HEAD)
-    step[2 * _HEAD : 2 * _HEAD + 2] = _A_PART + 1  # depth 1, last flip H
-    step[2 * _PAD : 2 * _PAD + 2] = (_PAD, _HEAD)
-    for depth in range(1, n + 1):
-        after_t = _A_PART + 2 * (depth - 1)
-        after_h = after_t + 1
-        # after a T the score does not move; after an H, HT climbs and HH sinks
-        step[2 * after_t : 2 * after_t + 2] = (after_t, after_h)
-        climbed = _PAD if depth == 1 else after_t - 2
-        sank = min(after_h + 2, codes - 1)
-        step[2 * after_h : 2 * after_h + 2] = (climbed, sank)
-    draws = np.ones(codes, dtype=np.intp)
-    draws[_HEAD] = 0
-    return step, draws
+    step = np.empty((codes, 2), dtype=np.intp)
+    step[_SEEK] = (_SEEK, _HEAD)
+    step[_HEAD] = _A_PART + 1  # depth 1, last flip H
+    step[_PAD] = (_PAD, _HEAD)
+    after_t = np.arange(_A_PART, codes, 2)  # depths 1..n, last flip T
+    after_h = after_t + 1
+    # after a T the score does not move; after an H, HT climbs and HH sinks
+    step[after_t, 0] = after_t
+    step[after_t, 1] = after_h
+    step[after_h, 0] = after_t - 2
+    step[after_h[0], 0] = _PAD  # a climb from depth 1 closes the A-part
+    step[after_h, 1] = np.minimum(after_h + 2, codes - 1)
+    return step
+
+
+def _compose(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The table of first's flips then second's: column x reads first's from
+    the low bits of x and second's from the high bits."""
+    table = np.empty((len(first), second.shape[1], first.shape[1]), dtype=first.dtype)
+    for high in range(second.shape[1]):  # a block of columns at a time: no full-size copy
+        table[:, high] = second[:, high][first]
+    return table.reshape(len(first), -1)
+
+
+def _flip_table(step: np.ndarray, width: int) -> np.ndarray | None:
+    """The table of `width` flips, flip k in bit k of the column, or None for 0.
+
+    It is built from the one-flip table by doubling (1, 2, 4, 8 flips), and
+    composing the powers that width's bits name.
+    """
+    table, power = None, step
+    while width:
+        if width & 1:
+            table = power if table is None else _compose(table, power)
+        width >>= 1
+        if width:
+            power = _compose(power, power)
+    return table
+
+
+def _stride_tables(n: int) -> tuple[int, np.ndarray, np.ndarray | None]:
+    """The stride s, the table of s flips, and the table of the last n % s.
+
+    s is the widest of 8, 4 and 2 flips whose table fits _MAX_TABLE_BYTES,
+    else 1.  The one-flip table is the automaton itself, 16 bytes a code,
+    so it alone passes the bound, from n = 131071 on.
+    """
+    step = _coupled_automaton(n)
+    stride = 8
+    while stride > 1 and step.nbytes << (stride - 1) > _MAX_TABLE_BYTES:
+        stride //= 2
+    return stride, _flip_table(step, stride), _flip_table(step, n % stride)
 
 
 def coupled_diff_mc(
@@ -379,7 +419,11 @@ def coupled_diff_mc(
 
     Each trial plays the renewal parse of a fresh fair stream with every
     window in A-hat form and scores the indicator of the winning gap event;
-    the estimate is half the hit rate.
+    the estimate is half the hit rate.  The trials read the fair blocks of
+    `simulate_game` (montecarlo's reproducibility contract at p = 1/2): flip
+    i of a trial is position i + 1, and the pinned position after a renewal
+    head ignores its flip.  Every trial of a block moves through the
+    automaton together, s flips per table lookup (see _stride_tables).
     """
     if n < 3:
         raise ValueError("n must be >= 3")
@@ -387,31 +431,29 @@ def coupled_diff_mc(
         raise ValueError("trials must be >= 1")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    step, draws = _coupled_automaton(n)
-    # a whole number of 4-row groups per block keeps each block's cell count
-    # a multiple of 4, so the blocked uint8 draws (four per 32-bit word) read
-    # the batch's stream exactly as one draw of the whole batch would
-    block = max(4, _MAX_BLOCK_CELLS // n // 4 * 4)
+    stride, table, tail = _stride_tables(n)
+    table = table.ravel()
+    # row j of a block's chunks holds flips s*j .. s*j + s - 1, the first in bit 0
+    shifts = np.arange(0, 8, stride, dtype=np.uint8)[:, None]
+    mask = (1 << stride) - 1
     hits = 0
-    done = 0
-    batch = 0
-    while done < trials:
-        m = min(batch_size, trials - done)
-        rng = _substream(seed, batch)
-        for start in range(0, m, block):
-            rows = min(block, m - start)
-            # row i holds the fair flips of trial i, drawn in order; a pinned
-            # flip draws none, so at most n of them are used
-            flips = rng.integers(0, 2, size=(rows, n), dtype=np.uint8).ravel()
-            cursor = np.arange(rows, dtype=np.intp) * n
-            code = np.full(rows, _SEEK, dtype=np.intp)
-            for _ in range(n):  # positions 1..n, all rows of the block at once
-                flip = flips[cursor]
-                cursor += draws[code]
-                code = step[(code << 1) | flip]
-            hits += int(np.count_nonzero(code == _PAD))
-        done += m
-        batch += 1
+    for words in _flip_blocks(n, 0.5, trials, seed, batch_size):
+        rows = words.shape[1]
+        # byte k of word w holds flips 64w + 8k ..; row 8w + k of flips8
+        flips8 = words.astype("<u8", copy=False).view(np.uint8).reshape(-1, rows, 8)
+        flips8 = flips8.transpose(0, 2, 1).reshape(-1, rows)
+        chunks = flips8[:, None, :] >> shifts
+        chunks &= mask
+        chunks = chunks.reshape(-1, rows)
+        code = np.full(rows, _SEEK, dtype=np.intp)
+        index = np.empty(rows, dtype=np.intp)
+        for j in range(n // stride):
+            np.left_shift(code, stride, out=index)
+            index |= chunks[j]
+            table.take(index, out=code)
+        if tail is not None:
+            code = tail[code, chunks[n // stride] & (tail.shape[1] - 1)]
+        hits += int(np.count_nonzero(code == _PAD))
     rate = hits / trials
     estimate = 0.5 * rate
     stderr = 0.5 * math.sqrt(rate * (1.0 - rate) / trials)

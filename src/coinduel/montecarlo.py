@@ -4,16 +4,20 @@ Reproducibility contract: batch b of a run draws from
 PCG64(SeedSequence(entropy=seed, spawn_key=(b,))). A batch is split into
 blocks of max(1, _MAX_BLOCK_CELLS // n) games. A block of m games holds its
 flips in ceil(n / 64) * m uint64 words, position-major: flip i of game g is
-bit i % 64 of word (i // 64) * m + g. The block's words are drawn in
-rounds, one raw PCG64 word per word that still has an open lane, in word
-order (`_bernoulli_words`). So results depend only on
-(n, p, trials, seed, batch_size) and are identical across platforms and
-worker counts.
+bit i % 64 of word (i // 64) * m + g (`_flip_blocks`). The block's words are
+drawn in rounds, each reading up to _DIGITS_PER_ROUND binary digits of p: a
+round of k digits draws k raw PCG64 words for every word that still has an
+open lane at its start, digit by digit and, within a digit, in word order
+(`_bernoulli_words`). At p = 1/2, which has one digit, that is one raw word
+per word. The coupled estimator (`excursions.coupled_diff_mc`) reads the
+same fair blocks. So results depend only on (n, p, trials, seed,
+batch_size) and are identical across platforms and worker counts.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +27,11 @@ DEFAULT_BATCH_SIZE = 4096
 
 # inner generation block, to keep per-call memory flat for large n
 _MAX_BLOCK_CELLS = 1 << 22
+
+# digits of p compared per round of `_bernoulli_words`: of 1, 2, 4, 6, 8, 10,
+# 12 and 16, 8 and 10 were fastest at p = 3/5 and 2/5 on blocks of 4096 and
+# 8192 words
+_DIGITS_PER_ROUND = 8
 
 
 @dataclass(frozen=True)
@@ -73,29 +82,35 @@ def _bernoulli_words(rng: np.random.Generator, count: int, p: float) -> np.ndarr
 
     Lane j of a word is 1 iff U < p, comparing U's binary digits, which are
     lane j of successive raw words, with p's, which come exactly from
-    Fraction(p) (Knuth & Yao, 1976). Each round reads p's next digit and
-    draws one raw word for every word that still has a lane level with p, in
-    word order. A lane leaves the level at its first digit that differs from
-    p's: below p, a head, where that digit is 0. Lanes still level when p's
-    digits run out have U >= p: tails. At p = 1/2 that is one raw word per 64
-    flips; at other p about eight.
+    Fraction(p) (Knuth & Yao, 1976). A lane leaves the level at its first
+    digit that differs from p's: below p, a head, where that digit is 0.
+    Lanes still level when p's digits run out have U >= p: tails. The digits
+    are read in rounds of up to _DIGITS_PER_ROUND; a round draws one raw word
+    per digit for every word open at its start, so the words still open are
+    found once a round, not once a digit. At p = 1/2 that is one raw word per
+    64 flips; at p = 3/5 about ten.
     """
     num, den = Fraction(p).as_integer_ratio()  # den is a power of two
-    heads = np.zeros(count, dtype=np.uint64)
-    index = np.arange(count)  # the words with a lane still level with p
-    level = np.full(count, 2**64 - 1, dtype=np.uint64)  # their lanes still level
-    while num and index.size:
-        ones = rng.bit_generator.random_raw(index.size)
-        ones &= level
-        level ^= ones  # the level lanes whose digit is 0
-        num <<= 1
-        if num >= den:  # p's digit is 1: the 0 lanes fell below p
-            num -= den
-            heads[index] |= level
-            level = ones
-        if np.count_nonzero(level) < index.size:
+    digits = format(num, f"0{den.bit_length() - 1}b").rstrip("0")
+    level = np.full(count, 2**64 - 1, dtype=np.uint64)  # the lanes still level with p
+    for start in range(0, len(digits), _DIGITS_PER_ROUND):
+        if start:  # only the words with a level lane draw again
             keep = np.flatnonzero(level)
+            if not keep.size:
+                break
             index, level = index[keep], level[keep]
+        below = np.zeros(level.size, dtype=np.uint64)
+        for digit in digits[start : start + _DIGITS_PER_ROUND]:
+            ones = rng.bit_generator.random_raw(level.size)
+            ones &= level
+            level ^= ones  # the level lanes whose digit is 0
+            if digit == "1":  # the 0 lanes fell below p
+                below |= level
+                level = ones
+        if start:
+            heads[index] |= below
+        else:  # every word drew
+            heads, index = below, np.arange(count)
     return heads
 
 
@@ -116,36 +131,32 @@ def _pair_scores(words: np.ndarray, n: int) -> np.ndarray:
     return head_starts - 2 * np.bitwise_count(hh).sum(axis=0, dtype=np.int64)
 
 
-def _score_signs(rng: np.random.Generator, rows: int, n: int, p: float):
-    """Final-score counts (negative, positive, zero) for `rows` fresh games."""
-    neg = pos = zero = 0
+def _flip_blocks(
+    n: int, p: float, trials: int, seed: int, batch_size: int
+) -> Iterator[np.ndarray]:
+    """The flips of `trials` games, block by block as the contract lays them out.
+
+    Each block is a (ceil(n / 64), m) uint64 array: flip i of game g is bit
+    i % 64 of [i // 64, g].
+    """
     block = max(1, _MAX_BLOCK_CELLS // n)
     width = -(-n // 64)
-    done = 0
-    while done < rows:
-        m = min(block, rows - done)
-        scores = _pair_scores(_bernoulli_words(rng, width * m, p).reshape(width, m), n)
-        neg += int(np.count_nonzero(scores < 0))
-        pos += int(np.count_nonzero(scores > 0))
-        zero += int(np.count_nonzero(scores == 0))
-        done += m
-    return neg, pos, zero
+    for batch, first in enumerate(range(0, trials, batch_size)):
+        rng = _substream(seed, batch)
+        games = min(batch_size, trials - first)
+        for start in range(0, games, block):
+            m = min(block, games - start)
+            yield _bernoulli_words(rng, width * m, p).reshape(width, m)
 
 
 def simulate_game(config: SimConfig) -> SimResult:
     """Play config.trials independent games and classify the final score."""
     wins_a = wins_b = ties = 0
-    done = 0
-    batch = 0
-    while done < config.trials:
-        m = min(config.batch_size, config.trials - done)
-        rng = _substream(config.seed, batch)
-        neg, pos, zero = _score_signs(rng, m, config.n, config.p)
-        wins_a += neg
-        wins_b += pos
-        ties += zero
-        done += m
-        batch += 1
+    for words in _flip_blocks(config.n, config.p, config.trials, config.seed, config.batch_size):
+        scores = _pair_scores(words, config.n)
+        wins_a += int(np.count_nonzero(scores < 0))
+        wins_b += int(np.count_nonzero(scores > 0))
+        ties += int(np.count_nonzero(scores == 0))
     t = config.trials
 
     def est(count: int) -> tuple[float, float]:

@@ -213,20 +213,32 @@ class WalkReport:
     sample_mean_jump: float
 
 
+# steps of the tail walk drawn at a time, so memory stays flat in steps
+_WALK_BLOCK = 1 << 16
+
+
 def tailwalk(steps: int, seed: int) -> WalkReport:
     """Simulate the walk sampled at tail appearances.
 
     Each step draws the following headrun length R (P(R=r) = (1/2)^(r+1),
     r >= 0) and jumps by 2-R when R >= 1, else stays.  The jump law has
     mean 0 and variance 1, and the walk returns to 0 infinitely often.
+    The run lengths are drawn _WALK_BLOCK at a time from one stream, which
+    gives the same draws as drawing all of them at once.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     rng = _substream(seed)
-    runs = rng.geometric(0.5, size=steps) - 1
-    jumps = np.where(runs >= 1, 2 - runs, 0)
-    walk = np.cumsum(jumps)
-    return WalkReport(steps, seed, int(np.count_nonzero(walk == 0)), float(jumps.mean()))
+    level = zero_hits = 0  # the walk's level is the exact sum of its jumps
+    for start in range(0, steps, _WALK_BLOCK):
+        runs = rng.geometric(0.5, size=min(_WALK_BLOCK, steps - start)) - 1
+        walk = np.cumsum(np.where(runs >= 1, 2 - runs, 0))
+        walk += level
+        zero_hits += int(np.count_nonzero(walk == 0))
+        level = int(walk[-1])
+    # the jumps are small integers, so their float64 sum is exact and this
+    # is the mean numpy takes of the whole jump array
+    return WalkReport(steps, seed, zero_hits, level / steps)
 
 
 def jump_mean_truncated(terms: int = 60) -> Fraction:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,8 +25,21 @@ from coinduel import (
     score,
     score_series,
 )
-from coinduel.montecarlo import SimConfig, _substream, simulate_game
-from coinduel.excursions import _LEVEL_ARRAY_MIN_FLIPS
+from coinduel.montecarlo import (
+    _MAX_BLOCK_CELLS,
+    SimConfig,
+    _bernoulli_words,
+    _substream,
+    simulate_game,
+)
+from coinduel import excursions
+from coinduel.excursions import (
+    _LEVEL_ARRAY_MIN_FLIPS,
+    _MAX_TABLE_BYTES,
+    _coupled_automaton,
+    _flip_table,
+    _stride_tables,
+)
 from coinduel.verify import _decompose_reference, _levels, _parse_fault
 
 
@@ -410,21 +424,24 @@ class TestClassifyPosition:
             assert enumerate_distribution(n).pTie * (1 << n) == zero_class
 
 
-def coupled_trial(pool: int, n: int) -> int:
-    """Reference: one sampled renewal stream, consuming fair bits from pool
-    (LSB first), walked flip by flip.
+def coupled_trial(flips: int, n: int) -> int:
+    """Reference: one sampled renewal stream, flip k at bit k - 1 of flips,
+    walked position by position.
 
     Returns 1 iff position n lands inside the coupled B-window but past its
     A-part -- the event whose probability is exactly twice pB - pA.  The
-    flip after each renewal head is pinned to H by the coupling, so it
-    consumes no randomness; at most n bits are ever drawn.
+    flip after each renewal head is pinned to H by the coupling, so its own
+    bit is ignored.
     """
+
+    def flip(pos: int) -> int:
+        return flips >> (pos - 1) & 1
+
     pos = 0
     head = False
     while pos < n:
         pos += 1
-        head = pool & 1 == 1
-        pool >>= 1
+        head = flip(pos) == 1
         if head:
             break
     if not head or pos >= n:
@@ -439,8 +456,7 @@ def coupled_trial(pool: int, n: int) -> int:
         prev = 1
         while True:
             pos += 1
-            cur = pool & 1
-            pool >>= 1
+            cur = flip(pos)
             if prev:
                 s += 1 - 2 * cur
             prev = cur
@@ -453,8 +469,7 @@ def coupled_trial(pool: int, n: int) -> int:
         # tail padding up to the closing head; the event holds strictly before it
         while True:
             pos += 1
-            cur = pool & 1
-            pool >>= 1
+            cur = flip(pos)
             if pos == n:
                 return 0 if cur else 1
             if cur:
@@ -463,17 +478,19 @@ def coupled_trial(pool: int, n: int) -> int:
 
 
 def reference_hits(n: int, trials: int, seed: int, batch_size: int) -> int:
-    """coupled_trial over the same seeded rows coupled_diff_mc draws."""
+    """coupled_trial over the fair blocks of montecarlo's reproducibility contract."""
+    block = max(1, _MAX_BLOCK_CELLS // n)
+    width = -(-n // 64)
     hits = 0
-    done = 0
-    batch = 0
-    while done < trials:
-        m = min(batch_size, trials - done)
-        rows = _substream(seed, batch).integers(0, 2, size=(m, n), dtype=np.uint8)
-        for row in np.packbits(rows, axis=1, bitorder="little"):
-            hits += coupled_trial(int.from_bytes(row.tobytes(), "little"), n)
-        done += m
-        batch += 1
+    for batch, first in enumerate(range(0, trials, batch_size)):
+        rng = _substream(seed, batch)
+        games = min(batch_size, trials - first)
+        for start in range(0, games, block):
+            rows = min(block, games - start)
+            words = _bernoulli_words(rng, width * rows, 0.5).reshape(width, rows)
+            for game in range(rows):
+                flips = sum(int(words[w, game]) << 64 * w for w in range(width))
+                hits += coupled_trial(flips, n)
     return hits
 
 
@@ -487,10 +504,11 @@ class TestCoupledDiffMC:
             (31, 7000, 5, 999),
             (50, 2 * 10**4, 9, 1 << 16),
             (200, 5000, 11, 1 << 16),
-            # two draw blocks of at most montecarlo._MAX_BLOCK_CELLS cells;
-            # at odd n only a row count that is a multiple of 4 keeps the stream
+            # two blocks of montecarlo._MAX_BLOCK_CELLS // n games
             (1000, 4500, 3, 1 << 16),
             (1001, 4500, 4, 1 << 16),
+            # the first n whose 8-flip table is over the bound: 4 flips a lookup
+            (1023, 3000, 12, 1 << 16),
         ],
     )
     def test_hits_match_reference_trials(self, n, trials, seed, batch_size):
@@ -540,3 +558,64 @@ class TestCoupledDiffMC:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             coupled_diff_mc(2, 10, 0)
+
+    @pytest.mark.parametrize("n", [8, 9, 64, 65])
+    def test_matches_dp(self, n):
+        # n = 3, 4 and 7 are the tests above; 8, 9, 64 and 65 end a byte or a
+        # word on n, or one flip past it
+        from coinduel import dp_distribution
+
+        exact = float(dp_distribution(n).diff)
+        est = coupled_diff_mc(n, 10**5, 1000 + n)
+        assert abs(est.estimate - exact) <= 4 * est.stderr
+
+    @pytest.mark.parametrize("n", [3, 5, 9, 50, 200, 1001])
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_flip_table_matches_step(self, n, width):
+        step = _coupled_automaton(n)
+        columns = np.arange(1 << width)
+        code = np.repeat(np.arange(len(step))[:, None], len(columns), axis=1)
+        for k in range(width):  # flip k of column x is bit k of x
+            code = step[code, columns >> k & 1]
+        assert np.array_equal(_flip_table(step, width), code)
+
+    @pytest.mark.parametrize(
+        "n,stride",
+        [
+            (3, 8),
+            (1022, 8),
+            (1023, 4),
+            (16382, 4),
+            (16383, 2),
+            (65534, 2),
+            (65535, 1),
+            (131070, 1),
+        ],
+    )
+    def test_stride_table_fits_bound(self, n, stride):
+        got, table, tail = _stride_tables(n)
+        assert got == stride
+        assert table.shape == (2 * n + 3, 1 << stride)
+        assert table.nbytes <= _MAX_TABLE_BYTES
+        assert (tail is None) == (n % stride == 0)
+
+    @pytest.mark.parametrize("n", [50, 203])
+    def test_every_stride_reads_the_same_flips(self, n, monkeypatch):
+        # a smaller bound narrows the stride; the hits must not move
+        expected = coupled_diff_mc(n, 3000, 8).hits
+        for stride in (4, 2, 1):
+            monkeypatch.setattr(excursions, "_MAX_TABLE_BYTES", (2 * n + 3) * 8 << stride)
+            assert _stride_tables(n)[0] == stride
+            assert coupled_diff_mc(n, 3000, 8).hits == expected
+
+    def test_memory_flat_at_large_n(self):
+        # blocks of 41 games and a one-flip table; the second block reaches
+        # the peak of any later one.  47 MiB is the peak RSS of the
+        # estimator that drew one uint8 per flip, at 200 trials
+        tracemalloc.start()
+        try:
+            coupled_diff_mc(10**5, 2 * (_MAX_BLOCK_CELLS // 10**5), 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 47 << 20

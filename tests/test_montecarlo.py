@@ -68,34 +68,46 @@ class TestCalibration:
         assert r.stderr_a == pytest.approx(math.sqrt(q * (1 - q) / r.trials))
 
 
+# p's digits per round in the reproducibility contract; a new value changes
+# every simulated count at p != 1/2
+DIGITS_PER_ROUND = 8
+
+
 def reference_words(rng, count, p):
     """Bernoulli(p) words one lane at a time in Python ints, drawing as the sampler does.
 
-    Round k compares digit k of p with digit k of U, one raw word for each word
-    that still has an undecided lane, in word order.
+    p's digits are read in rounds of DIGITS_PER_ROUND. For each digit of a
+    round in turn, the round draws one raw word for every word that had an
+    undecided lane at the round's start, in word order, and compares that
+    digit of U with p's.
     """
     rest = Fraction(p)
+    digits = []
+    while rest:
+        rest *= 2
+        digits.append(int(rest >= 1))
+        rest -= digits[-1]
     heads = [0] * count
     undecided = [set(range(64)) for _ in range(count)]
-    while rest and any(undecided):
-        rest *= 2
-        digit = int(rest >= 1)
-        rest -= digit
-        for word in range(count):
-            if not undecided[word]:
-                continue
-            raw = rng.bit_generator.random_raw()
-            for lane in sorted(undecided[word]):
-                bit = raw >> lane & 1
-                if bit != digit:
-                    undecided[word].discard(lane)
-                    if bit < digit:
-                        heads[word] |= 1 << lane
+    for start in range(0, len(digits), DIGITS_PER_ROUND):
+        drawing = [word for word in range(count) if undecided[word]]
+        for digit in digits[start : start + DIGITS_PER_ROUND]:
+            for word in drawing:
+                raw = rng.bit_generator.random_raw()
+                for lane in sorted(undecided[word]):
+                    bit = raw >> lane & 1
+                    if bit != digit:
+                        undecided[word].discard(lane)
+                        if bit < digit:
+                            heads[word] |= 1 << lane
     return heads
 
 
 class TestSampler:
-    @pytest.mark.parametrize("p", [0.5, 0.6, 1 / 3, 0.25, 2.0**-60, 1 - 2.0**-53])
+    # 255/256 and 257/512 have 8 and 9 digits: one full round, and one digit past it
+    @pytest.mark.parametrize(
+        "p", [0.5, 0.6, 1 / 3, 0.25, 2.0**-60, 1 - 2.0**-53, 255 / 256, 257 / 512]
+    )
     @pytest.mark.parametrize("count", [1, 3, 40])
     def test_matches_scalar_reference(self, p, count):
         fast, slow = _substream(59, count), _substream(59, count)

@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from coinduel import (
@@ -17,7 +18,15 @@ from coinduel import (
     tailwalk,
 )
 from coinduel.exact import _dp_scan
-from coinduel.renewal import _count_rx_terms, _pi_float_terms, _tie_terms, fair_scan
+from coinduel.montecarlo import _substream
+from coinduel.renewal import (
+    _WALK_BLOCK,
+    WalkReport,
+    _count_rx_terms,
+    _pi_float_terms,
+    _tie_terms,
+    fair_scan,
+)
 from coinduel.verify import _count_rx_closed_form
 
 
@@ -240,6 +249,17 @@ class TestTailWalk:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             tailwalk(0, 1)
+
+    @pytest.mark.parametrize(
+        "steps", [1, _WALK_BLOCK - 1, _WALK_BLOCK, _WALK_BLOCK + 1, 2 * _WALK_BLOCK + 1]
+    )
+    def test_blocks_match_one_draw(self, steps):
+        # the whole walk from one draw of every run length, as it was computed
+        # before the walk went block by block
+        runs = _substream(5).geometric(0.5, size=steps) - 1
+        jumps = np.where(runs >= 1, 2 - runs, 0)
+        zero_hits = int(np.count_nonzero(np.cumsum(jumps) == 0))
+        assert tailwalk(steps, 5) == WalkReport(steps, 5, zero_hits, float(jumps.mean()))
 
 
 class TestJumpMean:
