@@ -13,6 +13,7 @@ sharing their boundary head.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -336,80 +337,56 @@ class CoupledDiffEstimate:
 
 
 # States of one trial in the lock-step pass of coupled_diff_mc.  Codes from
-# _A_PART on are an open A-part: _A_PART + 2 * (depth - 1) + last flip, where
-# depth = -(window score) >= 1.
+# _A_PART on are an open A-part: _A_PART + 2 * (depth - 1) + last flip (H = 1),
+# where depth = -(window score) >= 1, so an A-part code is odd after a T.
 _SEEK, _HEAD, _PAD, _A_PART = 0, 1, 2, 3
 
-# bytes one stride table may take; the stride narrows to stay within it
-_MAX_TABLE_BYTES = 4 << 20
+# Eight flips hold at most four HT climbs, so from depth 5 on a lookup cannot
+# close the A-part and the code moves by an amount set by the last flip and the
+# byte alone.  Lookup tables have a row for each code below _DEEP and one for
+# depth >= 5 after a T (_DEEP) and after an H (_DEEP + 1).
+_DEEP = _A_PART + 2 * 4
 
 
-def _coupled_automaton(n: int) -> np.ndarray:
-    """Transition table of one flip: row code, column flip.
+def _step(code: np.ndarray, flip: np.ndarray) -> np.ndarray:
+    """The code after one more flip, elementwise.
 
     _SEEK waits for the first head.  _HEAD is the flip after a renewal head,
-    pinned to H by the coupling: both its flips open the A-part at window
-    score -1.  The A-part runs until its score returns to zero, then _PAD
-    reads the tail padding until the closing head, which is the next renewal
-    head.  A trial hits iff it ends position n in _PAD: n lies past the
-    A-part of the coupled window but before its closing head.
+    pinned to H by the coupling: both its flips open the A-part at depth 1.
+    The A-part runs until its score returns to zero, then _PAD reads the tail
+    padding until the closing head, which is the next renewal head.  A trial
+    hits iff it ends position n in _PAD: n lies past the A-part of the
+    coupled window but before its closing head.
     """
-    # within n positions the depth stays below n, so n levels hold every
-    # reachable state; the clamp below only keeps the last level's
-    # (unreachable) HH edge inside the table
-    codes = _A_PART + 2 * n
-    step = np.empty((codes, 2), dtype=np.intp)
-    step[_SEEK] = (_SEEK, _HEAD)
-    step[_HEAD] = _A_PART + 1  # depth 1, last flip H
-    step[_PAD] = (_PAD, _HEAD)
-    after_t = np.arange(_A_PART, codes, 2)  # depths 1..n, last flip T
-    after_h = after_t + 1
-    # after a T the score does not move; after an H, HT climbs and HH sinks
-    step[after_t, 0] = after_t
-    step[after_t, 1] = after_h
-    step[after_h, 0] = after_t - 2
-    step[after_h[0], 0] = _PAD  # a climb from depth 1 closes the A-part
-    step[after_h, 1] = np.minimum(after_h + 2, codes - 1)
-    return step
+    return np.select(
+        [code == _SEEK, code == _HEAD, code == _PAD, code % 2 == 1, code == _A_PART + 1],
+        [
+            np.where(flip, _HEAD, _SEEK),
+            _A_PART + 1,
+            np.where(flip, _HEAD, _PAD),
+            code + flip,  # after a T the score does not move
+            np.where(flip, code + 2, _PAD),  # a climb from depth 1 closes the A-part
+        ],
+        np.where(flip, code + 2, code - 3),  # after an H, HH sinks and HT climbs
+    )
 
 
-def _compose(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """The table of first's flips then second's: column x reads first's from
-    the low bits of x and second's from the high bits."""
-    table = np.empty((len(first), second.shape[1], first.shape[1]), dtype=first.dtype)
-    for high in range(second.shape[1]):  # a block of columns at a time: no full-size copy
-        table[:, high] = second[:, high][first]
-    return table.reshape(len(first), -1)
+@functools.cache
+def _lookup_table(width: int) -> np.ndarray:
+    """Code change over `width` flips, flip k in bit k of the byte; bits from
+    `width` on are ignored.
 
-
-def _flip_table(step: np.ndarray, width: int) -> np.ndarray | None:
-    """The table of `width` flips, flip k in bit k of the column, or None for 0.
-
-    It is built from the one-flip table by doubling (1, 2, 4, 8 flips), and
-    composing the powers that width's bits name.
+    Flattened: entry 256 * row + byte, with row min(code, _DEEP + 1 - (code & 1))
+    (see _DEEP; width <= 8).
     """
-    table, power = None, step
-    while width:
-        if width & 1:
-            table = power if table is None else _compose(table, power)
-        width >>= 1
-        if width:
-            power = _compose(power, power)
+    rows = np.arange(_DEEP + 2)[:, None]
+    byte = np.arange(256)
+    code = np.repeat(rows, len(byte), axis=1)
+    for k in range(width):
+        code = _step(code, byte >> k & 1)
+    table = (code - rows).ravel()
+    table.flags.writeable = False
     return table
-
-
-def _stride_tables(n: int) -> tuple[int, np.ndarray, np.ndarray | None]:
-    """The stride s, the table of s flips, and the table of the last n % s.
-
-    s is the widest of 8, 4 and 2 flips whose table fits _MAX_TABLE_BYTES,
-    else 1.  The one-flip table is the automaton itself, 16 bytes a code,
-    so it alone passes the bound, from n = 131071 on.
-    """
-    step = _coupled_automaton(n)
-    stride = 8
-    while stride > 1 and step.nbytes << (stride - 1) > _MAX_TABLE_BYTES:
-        stride //= 2
-    return stride, _flip_table(step, stride), _flip_table(step, n % stride)
 
 
 def coupled_diff_mc(
@@ -422,8 +399,8 @@ def coupled_diff_mc(
     the estimate is half the hit rate.  The trials read the fair blocks of
     `simulate_game` (montecarlo's reproducibility contract at p = 1/2): flip
     i of a trial is position i + 1, and the pinned position after a renewal
-    head ignores its flip.  Every trial of a block moves through the
-    automaton together, s flips per table lookup (see _stride_tables).
+    head ignores its flip.  Every trial of a block moves through the states
+    of _step together, eight flips per table lookup (see _lookup_table).
     """
     if n < 3:
         raise ValueError("n must be >= 3")
@@ -431,28 +408,26 @@ def coupled_diff_mc(
         raise ValueError("trials must be >= 1")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    stride, table, tail = _stride_tables(n)
-    table = table.ravel()
-    # row j of a block's chunks holds flips s*j .. s*j + s - 1, the first in bit 0
-    shifts = np.arange(0, 8, stride, dtype=np.uint8)[:, None]
-    mask = (1 << stride) - 1
+    full, tail = _lookup_table(8), _lookup_table(n % 8)
     hits = 0
     for words in _flip_blocks(n, 0.5, trials, seed, batch_size):
         rows = words.shape[1]
         # byte k of word w holds flips 64w + 8k ..; row 8w + k of flips8
         flips8 = words.astype("<u8", copy=False).view(np.uint8).reshape(-1, rows, 8)
         flips8 = flips8.transpose(0, 2, 1).reshape(-1, rows)
-        chunks = flips8[:, None, :] >> shifts
-        chunks &= mask
-        chunks = chunks.reshape(-1, rows)
         code = np.full(rows, _SEEK, dtype=np.intp)
         index = np.empty(rows, dtype=np.intp)
-        for j in range(n // stride):
-            np.left_shift(code, stride, out=index)
-            index |= chunks[j]
-            table.take(index, out=code)
-        if tail is not None:
-            code = tail[code, chunks[n // stride] & (tail.shape[1] - 1)]
+        delta = np.empty(rows, dtype=np.intp)
+        for j in range(-(-n // 8)):
+            # index = 256 * row + byte, row = min(code, _DEEP + 1 - (code & 1))
+            np.bitwise_and(code, 1, out=index)
+            np.subtract(_DEEP + 1, index, out=index)
+            np.minimum(code, index, out=index)
+            index <<= 8
+            index |= flips8[j]
+            # every index is in the table; "clip" skips the buffered bounds check
+            (full if j < n // 8 else tail).take(index, out=delta, mode="clip")
+            code += delta
         hits += int(np.count_nonzero(code == _PAD))
     rate = hits / trials
     estimate = 0.5 * rate

@@ -32,13 +32,14 @@ from coinduel.montecarlo import (
     _substream,
     simulate_game,
 )
-from coinduel import excursions
 from coinduel.excursions import (
+    _A_PART,
+    _DEEP,
+    _HEAD,
     _LEVEL_ARRAY_MIN_FLIPS,
-    _MAX_TABLE_BYTES,
-    _coupled_automaton,
-    _flip_table,
-    _stride_tables,
+    _PAD,
+    _SEEK,
+    _lookup_table,
 )
 from coinduel.verify import _decompose_reference, _levels, _parse_fault
 
@@ -477,6 +478,20 @@ def coupled_trial(flips: int, n: int) -> int:
                 break
 
 
+def coupled_rule(code: np.ndarray, flip: np.ndarray) -> np.ndarray:
+    """Reference: the state code of coupled_diff_mc after one more flip,
+    elementwise, through the A-part's depth and last flip."""
+    depth, last = (code - _A_PART) // 2 + 1, (code - _A_PART) % 2
+    # after an H, HT climbs a level and HH sinks one; after a T the depth stays
+    depth = depth + last * (2 * flip - 1)
+    a_part = np.where(depth == 0, _PAD, _A_PART + 2 * (depth - 1) + flip)
+    return np.select(
+        [code == _SEEK, code == _HEAD, code == _PAD],
+        [np.where(flip, _HEAD, _SEEK), _A_PART + 1, np.where(flip, _HEAD, _PAD)],
+        a_part,
+    )
+
+
 def reference_hits(n: int, trials: int, seed: int, batch_size: int) -> int:
     """coupled_trial over the fair blocks of montecarlo's reproducibility contract."""
     block = max(1, _MAX_BLOCK_CELLS // n)
@@ -507,8 +522,12 @@ class TestCoupledDiffMC:
             # two blocks of montecarlo._MAX_BLOCK_CELLS // n games
             (1000, 4500, 3, 1 << 16),
             (1001, 4500, 4, 1 << 16),
-            # the first n whose 8-flip table is over the bound: 4 flips a lookup
+            # n % 8 = 4 and 6: the tail tables of 4 and 6 flips
+            (12, 3000, 14, 1 << 16),
+            (30, 3000, 15, 1 << 16),
+            # long games, where most lookups read the depth >= 5 rows
             (1023, 3000, 12, 1 << 16),
+            (16383, 160, 13, 1 << 16),
         ],
     )
     def test_hits_match_reference_trials(self, n, trials, seed, batch_size):
@@ -569,52 +588,37 @@ class TestCoupledDiffMC:
         est = coupled_diff_mc(n, 10**5, 1000 + n)
         assert abs(est.estimate - exact) <= 4 * est.stderr
 
+    def test_matches_renewal_at_depth(self):
+        # n = 2048 reaches depths far past the exact rows; seed fixed before
+        # the first run
+        from coinduel import renewal_diff
+
+        est = coupled_diff_mc(2048, 10**5, 2048)
+        assert abs(est.estimate - float(renewal_diff(2048))) <= 4 * est.stderr
+
     @pytest.mark.parametrize("n", [3, 5, 9, 50, 200, 1001])
     @pytest.mark.parametrize("width", range(1, 9))
     def test_flip_table_matches_step(self, n, width):
-        step = _coupled_automaton(n)
-        columns = np.arange(1 << width)
-        code = np.repeat(np.arange(len(step))[:, None], len(columns), axis=1)
-        for k in range(width):  # flip k of column x is bit k of x
-            code = step[code, columns >> k & 1]
-        assert np.array_equal(_flip_table(step, width), code)
-
-    @pytest.mark.parametrize(
-        "n,stride",
-        [
-            (3, 8),
-            (1022, 8),
-            (1023, 4),
-            (16382, 4),
-            (16383, 2),
-            (65534, 2),
-            (65535, 1),
-            (131070, 1),
-        ],
-    )
-    def test_stride_table_fits_bound(self, n, stride):
-        got, table, tail = _stride_tables(n)
-        assert got == stride
-        assert table.shape == (2 * n + 3, 1 << stride)
-        assert table.nbytes <= _MAX_TABLE_BYTES
-        assert (tail is None) == (n % stride == 0)
-
-    @pytest.mark.parametrize("n", [50, 203])
-    def test_every_stride_reads_the_same_flips(self, n, monkeypatch):
-        # a smaller bound narrows the stride; the hits must not move
-        expected = coupled_diff_mc(n, 3000, 8).hits
-        for stride in (4, 2, 1):
-            monkeypatch.setattr(excursions, "_MAX_TABLE_BYTES", (2 * n + 3) * 8 << stride)
-            assert _stride_tables(n)[0] == stride
-            assert coupled_diff_mc(n, 3000, 8).hits == expected
+        # every code a game of n flips reaches, both sides of the depth where
+        # a width-flip lookup turns into a shift, and a depth of 10**6
+        depths = np.r_[1 : max(n, width // 2 + 2) + 1, 10**6]
+        code = np.r_[_SEEK, _HEAD, _PAD, _A_PART + 2 * (depths - 1), _A_PART + 2 * depths - 1]
+        code, byte = np.meshgrid(code, np.arange(256), indexing="ij")
+        want = code
+        for k in range(width):  # flip k of a byte is its bit k
+            want = coupled_rule(want, byte >> k & 1)
+        row = np.minimum(code, _DEEP + 1 - (code & 1))
+        assert np.array_equal(code + _lookup_table(width)[256 * row + byte], want)
 
     def test_memory_flat_at_large_n(self):
-        # blocks of 41 games and a one-flip table; the second block reaches
-        # the peak of any later one.  47 MiB is the peak RSS of the
-        # estimator that drew one uint8 per flip, at 200 trials
+        # blocks of 20 games and lookup tables that do not grow with n; the
+        # second block reaches the peak of any later one.  47 MiB is the peak
+        # RSS at n = 10**5 of the estimator that drew one uint8 per flip, at
+        # 200 trials
+        n = 2 * 10**5
         tracemalloc.start()
         try:
-            coupled_diff_mc(10**5, 2 * (_MAX_BLOCK_CELLS // 10**5), 1)
+            coupled_diff_mc(n, 2 * (_MAX_BLOCK_CELLS // n), 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
