@@ -28,6 +28,7 @@ from fractions import Fraction
 
 from .exact import (
     DP_EXACT_MAX_N,
+    DP_FLOAT_MAX_N,
     FloatDistribution,
     _dp_float_bands,
     _float_sign_sums,
@@ -233,6 +234,8 @@ def _table_rows(n_from: int, n_to: int, step: int):
 def _cmd_table(args) -> int:
     if args.n_from < 1 or args.n_to < args.n_from or args.step < 1:
         raise ValueError("need 1 <= n-from <= n-to and step >= 1")
+    if args.n_to > DP_FLOAT_MAX_N:  # rows above DP_EXACT_MAX_N run the float DP
+        raise ValueError(f"n-to is capped at {DP_FLOAT_MAX_N}, where the O(n^2) float DP takes 2 s")
     rows = list(_table_rows(args.n_from, args.n_to, args.step))
     if args.format == "csv":
         print("n,pA,pB,pTie,diff,tie_asym,diff_asym")

@@ -2,7 +2,8 @@
 an exact forward DP over (last flip, score) states, both with arbitrary
 head probability p; and the float solver, transform_distribution, which
 reads the same law off one FFT of the score chain's generating function, in
-O(n log n).  The DP's float twin, dp_float_series, is its O(n^2) oracle.
+O(n log n).  The DP's O(n^2) float twin serves `table` above n = 4096 only;
+verify checks it against fair_scan.
 
 Everything reports the final-score trichotomy pA = P(S_n < 0),
 pB = P(S_n > 0), pTie = P(S_n = 0): Alice collects a point per HH, Bob per
@@ -23,6 +24,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 ENUM_MAX_N = 30
 DP_EXACT_MAX_N = 4096
+# the float DP is O(n^2): at this cap a table row takes about 2 s (2-vCPU Xeon)
+DP_FLOAT_MAX_N = 30_000
 # transform_distribution's arrays take about 81 bytes per flip: at this cap
 # it adds 81 MiB of peak RSS and runs in under a second (2-vCPU Xeon)
 TRANSFORM_MAX_N = 10**6

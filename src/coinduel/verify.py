@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from operator import is_, is_not, itemgetter
 from time import perf_counter
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .excursions import (
     enumerate_excursions,
     PositionClass,
 )
-from .montecarlo import SimConfig, _substream, simulate_game
+from .montecarlo import DEFAULT_BATCH_SIZE, SimConfig, _flip_blocks, _substream, simulate_game
 from .renewal import ASYMPTOTIC_C, asymptotics, count_rx, fair_scan, pi, renewal_diff
 
 _Check = Callable[[], tuple[bool, str]]
@@ -59,9 +59,36 @@ class InvariantResult:
     seconds: float  # wall time of the check
 
 
-def _random_sequence(rng: np.random.Generator, length: int) -> FlipSequence:
-    bits = int.from_bytes(rng.bytes((length + 7) // 8), "little") & ((1 << length) - 1)
-    return FlipSequence(bits, length)
+def _random_blocks(
+    seed: int, lengths: np.ndarray, p: float = 0.5, batch_size: int = DEFAULT_BATCH_SIZE
+) -> Iterator[tuple[list[FlipSequence], np.ndarray]]:
+    """Random sequences of the given lengths, block by block, and their flips.
+
+    Sequence g is game g of the simulator's `_flip_blocks(max(lengths), p,
+    len(lengths), seed, batch_size)` cut to lengths[g] flips.  Its flip row
+    holds those flips (heads = 1), then zeros up to max(lengths).
+    """
+    n = int(lengths.max())
+    # row k of cut is the byte mask of the first k flips
+    cut = np.packbits(np.tri(n + 1, n, -1, dtype=bool), axis=1, bitorder="little")
+    width = cut.shape[1]
+    done = 0
+    for words in _flip_blocks(n, p, len(lengths), seed, batch_size):
+        rows = lengths[done : done + words.shape[1]]
+        done += rows.size
+        raw = np.ascontiguousarray(words.T, dtype="<u8").view(np.uint8)[:, :width]
+        raw &= cut[rows]
+        data = raw.tobytes()
+        seqs = [
+            FlipSequence(int.from_bytes(data[i : i + width], "little"), length)
+            for i, length in zip(range(0, len(data), width), rows.tolist())
+        ]
+        yield seqs, np.unpackbits(raw, axis=1, count=n, bitorder="little")
+
+
+def _random_sequences(seed: int, lengths: np.ndarray) -> Iterator[FlipSequence]:
+    """The sequences of `_random_blocks(seed, lengths)`, one by one."""
+    return chain.from_iterable(seqs for seqs, _ in _random_blocks(seed, lengths))
 
 
 # ---------------------------------------------------------------- core
@@ -75,9 +102,7 @@ def _check_runs_formula() -> tuple[bool, str]:
             if score_via_runs(seq) != score_series(seq)[-1]:
                 return False, f"mismatch at {seq}"
             checked += 1
-    rng = _substream(101)
-    for _ in range(10**5):
-        seq = _random_sequence(rng, int(rng.integers(17, 129)))
+    for seq in _random_sequences(101, _substream(101).integers(17, 129, 10**5)):
         if score_via_runs(seq) != score_series(seq)[-1]:
             return False, f"mismatch at {seq}"
         checked += 1
@@ -86,12 +111,9 @@ def _check_runs_formula() -> tuple[bool, str]:
 
 def _check_reversal_pattern_law() -> tuple[bool, str]:
     checked = 0
-    rng = _substream(102)
-    seqs = (
-        FlipSequence(b, n) for n in range(1, 13) for b in range(1 << n)
-    )
-    extras = (_random_sequence(rng, int(rng.integers(13, 257))) for _ in range(10**4))
-    for seq in (*seqs, *extras):
+    seqs = (FlipSequence(b, n) for n in range(1, 13) for b in range(1 << n))
+    extras = _random_sequences(102, _substream(102).integers(13, 257, 10**4))
+    for seq in chain(seqs, extras):
         rev = reverse(seq)
         if count_overlapping(rev, "HH") != count_overlapping(seq, "HH"):
             return False, f"HH count changed under reversal at {seq}"
@@ -118,12 +140,11 @@ def _check_reversal_score_h_to_h() -> tuple[bool, str]:
 def _check_additivity() -> tuple[bool, str]:
     rng = _substream(103)
     trials = 10**4
-    for _ in range(trials):
-        n = int(rng.integers(2, 257))
-        seq = _random_sequence(rng, n)
-        m = int(rng.integers(1, n + 1))
+    lengths = rng.integers(2, 257, trials)
+    splits = rng.integers(1, lengths + 1)
+    for seq, m in zip(_random_sequences(103, lengths), splits.tolist()):
         left = seq.window(1, m)
-        right = seq.window(m, n)  # shares flip m with the left part
+        right = seq.window(m, seq.length)  # shares flip m with the left part
         if score(seq) != score(left) + score(right):
             return False, f"split at {m} fails for {seq}"
     return True, f"{trials} random splits of random sequences"
@@ -197,36 +218,9 @@ def _short_blocks(n_max: int):
             yield seqs, ((b[:, None] >> np.arange(n, dtype=np.int32)) & 1).astype(np.uint8)
 
 
-def _random_block(
-    rng: np.random.Generator, count: int, length: int
-) -> tuple[list[FlipSequence], np.ndarray]:
-    """count calls of _random_sequence(rng, length) at once, and their flips."""
-    width = (length + 7) // 8
-    # rng.bytes(width) keeps the first width bytes of whole little-endian
-    # 32-bit words, so one draw of count rows of words reads the same stream
-    words = rng.integers(0, 1 << 32, size=(count, -(-width // 4)), dtype=np.uint32)
-    packed = words.astype("<u4", copy=False).view(np.uint8)[:, :width]
-    flips = np.unpackbits(packed, axis=1, count=length, bitorder="little")
-    return _packed_sequences(packed, length), flips
-
-
-def _biased_block(
-    rng: np.random.Generator, count: int, length: int, p: float
-) -> tuple[list[FlipSequence], np.ndarray]:
-    """count sequences of length flips at head probability p, and their flips."""
-    flips = (rng.random((count, length)) < p).view(np.uint8)
-    return _packed_sequences(np.packbits(flips, axis=1, bitorder="little"), length), flips
-
-
-def _packed_sequences(packed: np.ndarray, length: int) -> list[FlipSequence]:
-    """One sequence per row of packed, its flips as little-endian bits cut to length."""
-    width = packed.shape[1]
-    data = packed.tobytes()
-    mask = (1 << length) - 1
-    return [
-        FlipSequence(int.from_bytes(data[i : i + width], "little") & mask, length)
-        for i in range(0, len(data), width)
-    ]
+def _parse_batch(length: int) -> int:
+    """Sequences per block of length-`length` flips in the parse checks."""
+    return min(_PARSE_BLOCK_SEQS, _PARSE_BLOCK_CELLS // length)
 
 
 def _levels(flips: np.ndarray) -> np.ndarray:
@@ -385,15 +379,14 @@ def _check_round_trip() -> tuple[bool, str]:
         if fault is not None:
             row, reason = fault
             return False, f"{reason} at {seqs[row]}"
-    rng = _substream(104)
     randoms, length = 10**5, 1000
-    block = min(_PARSE_BLOCK_SEQS, _PARSE_BLOCK_CELLS // length)
-    for done in range(0, randoms, block):
-        seqs, flips = _random_block(rng, min(block, randoms - done), length)
+    done = 0
+    for seqs, flips in _random_blocks(104, np.full(randoms, length), 0.5, _parse_batch(length)):
         fault = _parse_fault(seqs, [decompose(s) for s in seqs], flips, _levels(flips))
         if fault is not None:
             row, reason = fault
             return False, f"{reason} in random length-{length} sequence {done + row}"
+        done += len(seqs)
     return True, (
         f"every parse checked against its own score levels: exhaustive to length 16 "
         f"plus {randoms} random length-{length} sequences"
@@ -406,13 +399,13 @@ def _check_interior_scores() -> tuple[bool, str]:
     # against the true levels: at head probability 0.8 every length-2000
     # sequence spans 256 levels or more.  A drifting parse almost never
     # ends on a closed window, so the short sequences cover the
-    # trailing-head rule.
-    rng = _substream(106)
+    # trailing-head rule.  Both head probabilities draw from seed 106, so
+    # they share their first raw words: the two samples are coupled, and
+    # each alone has its exact law.
     count, length, short = 250, 2000, 8
-    blocks = chain(
-        ((None, *block) for block in _short_blocks(short)),
-        ((p, *_biased_block(rng, count, length, p)) for p in (0.2, 0.8)),
-    )
+    lengths, block = np.full(count, length), _parse_batch(length)
+    biased = ((p, *b) for p in (0.2, 0.8) for b in _random_blocks(106, lengths, p, block))
+    blocks = chain(((None, *b) for b in _short_blocks(short)), biased)
     windows = wide = 0
     for p, seqs, flips in blocks:
         levels = _levels(flips)
@@ -497,10 +490,8 @@ def _check_parser_equivalence() -> tuple[bool, str]:
             seq = FlipSequence(b, n)
             if decompose(seq) != _decompose_reference(seq):
                 return False, f"parsers disagree at {seq}"
-    rng = _substream(105)
     trials = 2000
-    for _ in range(trials):
-        seq = _random_sequence(rng, int(rng.integers(240, 521)))
+    for seq in _random_sequences(105, _substream(105).integers(240, 521, trials)):
         if decompose(seq) != _decompose_reference(seq):
             return False, f"parsers disagree on a length-{seq.length} sequence"
     return True, (

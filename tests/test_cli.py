@@ -306,10 +306,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(exact.TRANSFORM_MAX_N) in err
 
+    def test_table_cap_is_one(self, capsys):
+        from coinduel.cli import dispatch
+        from coinduel.exact import DP_FLOAT_MAX_N
+
+        n = DP_FLOAT_MAX_N + 1
+        assert dispatch(["table", "--n-from", str(n), "--n-to", str(n)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(DP_FLOAT_MAX_N) in err and "2 s" in err
+
 
 class TestVerifySubcommand:
     def test_all_invariants_pass(self):
-        proc = run_cli("verify")
+        # pyproject's RuntimeWarning filter stops at this process, so the
+        # subprocess gets its own
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "coinduel", "verify"],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
         lines = proc.stdout.strip().splitlines()
         assert all(line.startswith("PASS ") for line in lines[:-1])
         checks = len(lines) - 1

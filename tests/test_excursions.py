@@ -427,55 +427,43 @@ class TestClassifyPosition:
 
 def coupled_trial(flips: int, n: int) -> int:
     """Reference: one sampled renewal stream, flip k at bit k - 1 of flips,
-    walked position by position.
+    walked run of heads by run of heads.
 
     Returns 1 iff position n lands inside the coupled B-window but past its
     A-part -- the event whose probability is exactly twice pB - pA.  The
     flip after each renewal head is pinned to H by the coupling, so its own
     bit is ignored.
     """
-
-    def flip(pos: int) -> int:
-        return flips >> (pos - 1) & 1
-
-    pos = 0
-    head = False
-    while pos < n:
-        pos += 1
-        head = flip(pos) == 1
-        if head:
-            break
-    if not head or pos >= n:
+    # text[k] is flip k, "1" a head, read once from the int and cut at flip n
+    text = "0" + format(flips, f"0{n}b")[::-1][:n]
+    e = text.find("1")
+    if e in (-1, n):
         return 0  # n inside the initial tailrun or at its closing head
-    e = pos
     while True:
-        # A-part: pinned head at e+1, window score starts at -1
-        pos = e + 1
-        if pos == n:
-            return 0
-        s = -1
-        prev = 1
+        if e + 1 == n:
+            return 0  # n at the pinned head
+        # A-part: the pinned head at e+1 opens a run of heads at window
+        # score -1. In a run of k heads the k - 1 after the first are HH
+        # (-1 each) and the tail that ends it is HT (+1).
+        s, head = -1, e + 1
         while True:
-            pos += 1
-            cur = flip(pos)
-            if prev:
-                s += 1 - 2 * cur
-            prev = cur
+            tail = text.find("0", head + 1)
+            if tail == -1:
+                return 0  # heads up to n: n interior to the A-part
+            s += 2 - (tail - head)
             if s == 0:
-                break  # A-part closed at pos
-            if pos == n:
+                break  # A-part closed at tail
+            head = text.find("1", tail + 1)
+            if head == -1:
                 return 0  # n interior to the A-part
-        if pos == n:
+        if tail == n:
             return 1  # n at the A-part endpoint: first position of the event
         # tail padding up to the closing head; the event holds strictly before it
-        while True:
-            pos += 1
-            cur = flip(pos)
-            if pos == n:
-                return 0 if cur else 1
-            if cur:
-                e = pos  # closing head = next renewal head
-                break
+        e = text.find("1", tail + 1)  # closing head = next renewal head
+        if e == -1:
+            return 1  # n inside the padding
+        if e == n:
+            return 0  # n at the closing head
 
 
 def coupled_rule(code: np.ndarray, flip: np.ndarray) -> np.ndarray:
@@ -503,9 +491,9 @@ def reference_hits(n: int, trials: int, seed: int, batch_size: int) -> int:
         for start in range(0, games, block):
             rows = min(block, games - start)
             words = _bernoulli_words(rng, width * rows, 0.5).reshape(width, rows)
-            for game in range(rows):
-                flips = sum(int(words[w, game]) << 64 * w for w in range(width))
-                hits += coupled_trial(flips, n)
+            data = np.ascontiguousarray(words.T, dtype="<u8").tobytes()
+            for i in range(0, len(data), 8 * width):
+                hits += coupled_trial(int.from_bytes(data[i : i + 8 * width], "little"), n)
     return hits
 
 
@@ -525,9 +513,10 @@ class TestCoupledDiffMC:
             # n % 8 = 4 and 6: the tail tables of 4 and 6 flips
             (12, 3000, 14, 1 << 16),
             (30, 3000, 15, 1 << 16),
-            # long games, where most lookups read the depth >= 5 rows
+            # long games, where most lookups read the depth >= 5 rows; the
+            # second sees 2 hits
             (1023, 3000, 12, 1 << 16),
-            (16383, 160, 13, 1 << 16),
+            (16383, 900, 13, 1 << 16),
         ],
     )
     def test_hits_match_reference_trials(self, n, trials, seed, batch_size):

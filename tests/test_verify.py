@@ -277,11 +277,68 @@ def test_parse_fault_names_each_broken_rule(text, slots, trailing, fields, reaso
     assert verify._parse_fault([seq], [wrong], flips, levels) == (0, reason)
 
 
-@pytest.mark.parametrize("length", [1, 7, 8, 13, 1000, 1001])
-def test_random_block_draws_what_single_draws_would(length):
-    block_rng, single_rng = verify._substream(104), verify._substream(104)
-    seqs, flips = verify._random_block(block_rng, 37, length)
-    assert seqs == [verify._random_sequence(single_rng, length) for _ in range(37)]
-    assert flips.tolist() == [[(s.bits >> i) & 1 for i in range(length)] for s in seqs]
-    # and both generators stand at the same place afterwards
-    assert block_rng.bytes(8) == single_rng.bytes(8)
+def _drawn(seed, lengths, *args, **kwargs):
+    """The blocks of verify's sampler, as (sequences, flip rows) pairs."""
+    return list(verify._random_blocks(seed, np.asarray(lengths), *args, **kwargs))
+
+
+def test_sampler_cuts_each_sequence_to_its_length():
+    # runs-formula's length range; small batches give many blocks
+    lengths = verify._substream(101).integers(17, 129, 3000)
+    seqs = [s for block, _ in _drawn(101, lengths, batch_size=37) for s in block]
+    assert len(seqs) == 3000
+    assert [s.length for s in seqs] == lengths.tolist()
+    assert (lengths.min(), lengths.max()) == (17, 128)
+    assert all(s.bits >> s.length == 0 for s in seqs)
+    # and something survives the cut: the top flip is a head about half the time
+    assert 1200 < sum(s.bits >> (s.length - 1) for s in seqs) < 1800
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 4096])
+def test_sampler_flip_rows_are_the_sequences_bits(batch_size):
+    lengths = verify._substream(5).integers(1, 131, 50)
+    n = int(lengths.max())
+    for seqs, flips in _drawn(5, lengths, batch_size=batch_size):
+        assert flips.shape == (len(seqs), n)
+        assert flips.tolist() == [[(s.bits >> i) & 1 for i in range(n)] for s in seqs]
+
+
+def test_sampler_draws_heads_at_p():
+    # the interior check's draw at head probability 0.8
+    ((seqs, flips),) = _drawn(106, np.full(250, 2000), 0.8, verify._parse_batch(2000))
+    cells = flips.size
+    assert abs(flips.sum() / cells - 0.8) <= 4 * (0.8 * 0.2 / cells) ** 0.5
+    assert sum(s.bits.bit_count() for s in seqs) == flips.sum()
+
+
+def test_sampler_is_seeded():
+    lengths = verify._substream(102).integers(13, 257, 300)
+    first = [seqs for seqs, _ in _drawn(102, lengths)]
+    assert first == [seqs for seqs, _ in _drawn(102, lengths)]
+    assert first != [seqs for seqs, _ in _drawn(103, lengths)]
+
+
+@pytest.mark.parametrize("length", [3, 300, 1000, 2000])
+def test_parse_check_blocks_keep_their_bound(length):
+    batch = verify._parse_batch(length)
+    blocks = _drawn(1, np.full(2 * batch + 1, length), 0.5, batch)
+    assert sum(len(seqs) for seqs, _ in blocks) == 2 * batch + 1
+    for seqs, flips in blocks:
+        assert flips.shape == (len(seqs), length)
+        assert len(seqs) <= verify._PARSE_BLOCK_SEQS
+        assert flips.size <= verify._PARSE_BLOCK_CELLS
+
+
+def test_interior_check_parses_blocks_within_the_bound(monkeypatch):
+    shapes = []
+    real = verify._parse_fault
+
+    def recording(seqs, decomps, flips, levels):
+        shapes.append(flips.shape)
+        return real(seqs, decomps, flips, levels)
+
+    monkeypatch.setattr(verify, "_parse_fault", recording)
+    assert verify._check_interior_scores()[0]
+    assert shapes[-2:] == [(250, 2000), (250, 2000)]
+    assert all(rows <= verify._PARSE_BLOCK_SEQS for rows, _ in shapes)
+    assert all(rows * n <= verify._PARSE_BLOCK_CELLS for rows, n in shapes)
