@@ -49,6 +49,7 @@ from .excursions import (
     couple,
     coupled_diff_mc,
     decompose,
+    decompose_many,
     enumerate_excursions,
     position_class,
 )

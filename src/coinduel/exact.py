@@ -69,13 +69,13 @@ def _as_probability(p) -> Fraction:
 
 
 def _omega_scores(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Every b in Omega_n, in order and in chunks of 2^21, with its S_n.
+    """Every b in Omega_n, in order and in chunks of 2^18, with its S_n.
 
     Yields (bits, scores): bit i of bits[j] is flip i+1, and scores[j] =
     #HT - #HH counted by popcounts of the pair masks.
     """
     pair_mask = np.uint64((1 << (n - 1)) - 1) if n >= 2 else np.uint64(0)
-    chunk = 1 << 21  # 16 MiB of bits
+    chunk = 1 << 18  # 2 MiB of bits
     for lo in range(0, 1 << n, chunk):
         bits = np.arange(lo, min(lo + chunk, 1 << n), dtype=np.uint64)
         shifted = bits >> np.uint64(1)

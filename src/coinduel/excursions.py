@@ -9,6 +9,19 @@ by a tailrun and closed with a single head.  Any nonempty flip sequence
 parses into an initial tailrun, a first head, and a chain of windows, each
 window one excursion in B-form or A-hat-form, with consecutive windows
 sharing their boundary head.
+
+The renewal heads are exactly the heads j with S_j = 0, from the first
+head on.  The first head is at 0: only tails come before it.  A B window
+climbs on its HT and comes back to its head's level through an HH, so it
+closes on a head at 0.  An A-part sinks on its HH and comes back through an
+HT, so it ends on a tail at 0, and the tails of its padding keep the level,
+so the head that closes the window is at 0 as well.  Inside a window the
+score is strictly above 0 (B) or strictly below it (A-part), and the
+padding is all tails, so no other head is at 0.  Hence the window that
+opens at a renewal head e closes at the next flip after e at level 0: for
+a B window that is its closing head, for an A window tau_end, and the
+window ends at the next renewal head.  `decompose_many` reads a whole
+block of sequences this way from one numpy pass over their levels.
 """
 
 from __future__ import annotations
@@ -18,11 +31,11 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .core import HEADS, FlipSequence, reverse, score_series
+from .core import FlipSequence, reverse, score_series
 from .exact import _omega_scores
 from .montecarlo import _flip_blocks
 
@@ -194,97 +207,155 @@ def couple(tau: FlipSequence, tail_len: int = 0) -> tuple[FlipSequence, FlipSequ
     return alpha, reverse(alpha)
 
 
-# From this length on, decompose finds window returns in a numpy level array;
-# below it, numpy's fixed cost per call is more than building score_series.
-_LEVEL_ARRAY_MIN_FLIPS = 224
+# decompose_many parses a block in one numpy pass from this many cells on
+# (each sequence padded to whole bytes and to the block's longest); below it,
+# numpy's fixed cost per pass is more than reading each score_series list.
+_BLOCK_MIN_CELLS = 320
+# the cells of one numpy pass; a longer input is parsed in consecutive blocks
+_BLOCK_MAX_CELLS = 1 << 20
+
+# Slot.__new__ is a Python function: a block parse makes millions of slots,
+# so _parse builds their tuples directly
+_new_slot = functools.partial(tuple.__new__, Slot)
 
 
-def _level_bytes(seq: FlipSequence) -> tuple[bytes, bytes, np.ndarray | None]:
-    """The flips (one byte each, heads = 1) and S_1..S_n mod 256 as bytes.
+def _parse(seq: FlipSequence, heads: list[int], gaps: list[int]) -> Decomposition:
+    """The renewal parse of seq from its renewal heads: the window rule.
 
-    The third item is the levels themselves when their range reaches 256,
-    where equal bytes need not mean equal levels; else None.
+    heads are the heads j with S_j = 0, in order, and gaps[k] is the
+    distance from heads[k] to the next flip after it at level 0; a gap that
+    does not land in (heads[k], n] means there is none.  The window opened
+    at a renewal head e ends at the next renewal head f, or is open up to
+    flip n.  Its next level-0 flip e + g is f itself for a B window and
+    tau_end < f for an A window, so a closed window is of kind A exactly
+    when e + g < f; the last window takes its kind from flip e + 1.
     """
     n = seq.length
-    packed = np.frombuffer(seq.bits.to_bytes((n + 7) // 8, "little"), np.uint8)
-    flips = np.unpackbits(packed, count=n, bitorder="little")
+    if not heads:
+        return Decomposition(n, n, None, (), None)
+    # bound once: a SlotKind member lookup per window slows the comprehension
+    new, a, b = _new_slot, SlotKind.A, SlotKind.B
+    slots = [
+        new((e, f, a, e + g, True, seq)) if e + g < f else new((e, f, b, None, True, seq))
+        for e, f, g in zip(heads, heads[1:], gaps)
+    ]
+    e = heads[-1]
+    trailing = None
+    if e == n:
+        trailing = new((e, e, SlotKind.UNDETERMINED, None, False, seq))
+    elif seq.bits >> e & 1:
+        tau_end = e + gaps[-1]
+        slots.append(new((e, n, a, tau_end if e < tau_end <= n else None, False, seq)))
+    else:
+        slots.append(new((e, n, b, None, False, seq)))
+    return Decomposition(n, heads[0] - 1, heads[0], tuple(slots), trailing)
+
+
+def _list_heads(seq: FlipSequence) -> tuple[list[int], list[int]]:
+    """The renewal heads of seq and their gaps (see _parse), from score_series."""
+    n, bits = seq.length, seq.bits
+    heads: list[int] = []
+    gaps: list[int] = []
+    if not bits:
+        return heads, gaps
+    levels = score_series(seq)
+    levels.append(0)  # index() stops here, at flip n + 1, when no flip is left at 0
+    # every flip up to the first head is at level 0; walk the level-0 flips from it
+    z = (bits & -bits).bit_length()
+    while z <= n:
+        after = levels.index(0, z) + 1
+        if bits >> (z - 1) & 1:
+            heads.append(z)
+            gaps.append(after - z)
+        z = after
+    return heads, gaps
+
+
+def _level_dtype(cells: int) -> type:
+    """A signed integer type that holds every running sum of `cells` steps
+    of at most 1 each."""
+    return np.int16 if cells < 1 << 15 else np.int32 if cells < 1 << 31 else np.int64
+
+
+def _decompose_block(seqs: list[FlipSequence], width: int) -> list[Decomposition]:
+    """The parses of seqs, none longer than width bytes, from one numpy pass.
+
+    Row r holds seqs[r] padded with tails to 8 * width cells.  The padding
+    lies past flip n, where no window reads: a gap into it is no gap.
+    """
+    cols = 8 * width
+    data = b"".join([s.bits.to_bytes(width, "little") for s in seqs])
+    flips = np.unpackbits(np.frombuffer(data, np.uint8), bitorder="little")
     f = flips.view(np.int8)
-    steps = np.zeros(n, np.int8)
+    steps = np.empty(flips.size, np.int8)
+    steps[0] = 0
     # S_j - S_{j-1} = [flip j-1 != flip j] - flip j: +1 after HT, -1 after HH
     np.bitwise_xor(f[:-1], f[1:], out=steps[1:])
-    steps[1:] -= f[1:]
-    # |S_j| < n; the narrowest type that holds it sums fastest
-    levels = np.add.accumulate(steps, dtype=np.int32 if n < 1 << 31 else np.int64)
-    wide = levels.max() - levels.min() >= 256
-    return flips.tobytes(), levels.astype(np.uint8).tobytes(), levels if wide else None
+    np.subtract(steps[1:], f[1:], out=steps[1:])
+    levels = np.add.accumulate(steps, dtype=_level_dtype(steps.size)).reshape(-1, cols)
+    # S_j = 0 where the running sum is back at its value on the row's flip 1,
+    # so the step into a row's flip 1 (from the row before) cancels
+    zero = np.flatnonzero(levels == levels[:, :1])
+    at = np.flatnonzero(flips[zero])  # the level-0 cells that are heads
+    head = zero[at]
+    # the next level-0 cell; the block's last one has none and gets gap 0
+    gap = zero.take(at + 1, mode="clip")
+    gap -= head
+    # row r's heads are bounds[r]:bounds[r + 1]; a single row needs no split
+    bounds = [0, head.size]
+    if len(seqs) > 1:
+        bounds = head.searchsorted(np.arange(0, (len(seqs) + 1) * cols, cols)).tolist()
+        head %= cols
+    head += 1
+    heads, gaps = head.tolist(), gap.tolist()
+    return [_parse(s, heads[a:b], gaps[a:b]) for s, a, b in zip(seqs, bounds, bounds[1:])]
 
 
-def _true_return(levels: bytes, exact: np.ndarray, e: int, j: int) -> int:
-    """The first j > e with S_j = S_e, from j, the first whose byte matches.
+def _decompose_rows(seqs: list[FlipSequence], width: int) -> list[Decomposition]:
+    if 8 * width * len(seqs) < _BLOCK_MIN_CELLS:
+        return [_parse(s, *_list_heads(s)) for s in seqs]
+    return _decompose_block(seqs, width)
 
-    Levels repeat mod 256, so a byte match is checked against exact; 0 is
-    no return.
+
+def decompose_many(seqs: Iterable[FlipSequence]) -> list[Decomposition]:
+    """The renewal parses of seqs, in order: [decompose(s) for s in seqs].
+
+    Consecutive sequences, of any lengths, are parsed together in blocks
+    of up to _BLOCK_MAX_CELLS cells, each sequence padded to its block's
+    longest, and each block in one numpy pass over its levels.
     """
-    start = int(exact[e - 1])
-    while j:
-        gap = abs(int(exact[j - 1]) - start)
-        if not gap:
-            break
-        # the score moves at most one a flip, so S_e is at least gap flips on
-        j = levels.find(levels[e - 1], j - 1 + gap) + 1
-    return j
+    seqs = list(seqs)
+    parses: list[Decomposition] = []
+    lo = width = 0
+    for i, seq in enumerate(seqs):
+        if not seq.length:
+            raise ValueError("cannot decompose an empty sequence")
+        w = (seq.length + 7) // 8
+        if i > lo and 8 * (w if w > width else width) * (i + 1 - lo) > _BLOCK_MAX_CELLS:
+            parses += _decompose_rows(seqs[lo:i], width)
+            lo, width = i, w
+        elif w > width:
+            width = w
+    if lo < len(seqs):
+        parses += _decompose_rows(seqs[lo:], width)
+    return parses
 
 
 def decompose(seq: FlipSequence) -> Decomposition:
-    """Greedy left-to-right renewal parse of seq."""
-    n = seq.length
-    if n == 0:
+    """Greedy left-to-right renewal parse of seq: decompose_many of one.
+
+    The renewal heads are exactly the heads at level 0.  A B window comes
+    back to its head's level through HH, onto a head; an A-part comes back
+    through HT, onto a tail, and the tails of its padding keep the level,
+    so its closing head is at 0 too; in between, the score is off 0 or the
+    flips are tails.  So the window opened at a renewal head closes at the
+    next flip at level 0: a B window's closing head, or an A window's
+    tau_end, after which the window runs to the next renewal head.
+    """
+    if not seq.length:
         raise ValueError("cannot decompose an empty sequence")
-    # text[i] is flip i + 1 and levels[i] is S_{i+1}, or S_{i+1} mod 256
-    # with exact the true levels when that is ambiguous
-    if n < _LEVEL_ARRAY_MIN_FLIPS:
-        text, heads, levels, exact = str(seq), HEADS, score_series(seq), None
-    else:
-        text, levels, exact = _level_bytes(seq)
-        heads = 1
-    first_head = text.find(heads) + 1
-    if not first_head:
-        return Decomposition(n, n, None, (), None)
-    slots: list[Slot] = []
-    trailing = None
-    e = first_head
-    while True:
-        if e == n:
-            trailing = Slot(e, e, SlotKind.UNDETERMINED, None, False, seq)
-            break
-        a_type = text[e] == heads  # the flip after the head picks the form
-        # the window score from the head at e returns to zero at the first
-        # j > e where S_j comes back to S_e
-        try:
-            zero_at = levels.index(levels[e - 1], e) + 1
-        except ValueError:
-            zero_at = 0
-        if exact is not None:
-            zero_at = _true_return(levels, exact, e, zero_at)
-        if not a_type:
-            if zero_at:
-                slots.append(Slot(e, zero_at, SlotKind.B, None, True, seq))
-                e = zero_at
-                continue
-            slots.append(Slot(e, n, SlotKind.B, None, False, seq))
-            break
-        if not zero_at:
-            slots.append(Slot(e, n, SlotKind.A, None, False, seq))
-            break
-        # zero_at closes the A-part; its tail padding runs to the next head
-        f = text.find(heads, zero_at) + 1
-        if f:
-            slots.append(Slot(e, f, SlotKind.A, zero_at, True, seq))
-            e = f
-            continue
-        slots.append(Slot(e, n, SlotKind.A, zero_at, False, seq))
-        break
-    return Decomposition(n, first_head - 1, first_head, tuple(slots), trailing)
+    (parse,) = _decompose_rows([seq], (seq.length + 7) // 8)
+    return parse
 
 
 def _slot_containing(decomp: Decomposition, pos: int) -> Slot:

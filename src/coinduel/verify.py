@@ -40,10 +40,11 @@ from .excursions import (
     ExcursionKind,
     Slot,
     SlotKind,
-    classify_position,
     decompose,
+    decompose_many,
     enumerate_excursions,
     PositionClass,
+    position_class,
 )
 from .montecarlo import DEFAULT_BATCH_SIZE, SimConfig, _flip_blocks, _substream, simulate_game
 from .renewal import ASYMPTOTIC_C, asymptotics, count_rx, fair_scan, pi, renewal_diff
@@ -69,15 +70,15 @@ def _random_blocks(
     holds those flips (heads = 1), then zeros up to max(lengths).
     """
     n = int(lengths.max())
-    # row k of cut is the byte mask of the first k flips
-    cut = np.packbits(np.tri(n + 1, n, -1, dtype=bool), axis=1, bitorder="little")
-    width = cut.shape[1]
+    width = (n + 7) // 8
     done = 0
     for words in _flip_blocks(n, p, len(lengths), seed, batch_size):
         rows = lengths[done : done + words.shape[1]]
         done += rows.size
         raw = np.ascontiguousarray(words.T, dtype="<u8").view(np.uint8)[:, :width]
-        raw &= cut[rows]
+        # byte k of a row keeps its first clip(length - 8k, 0, 8) flips
+        kept = np.clip(rows[:, None] - np.arange(0, 8 * width, 8), 0, 8)
+        raw &= ((1 << kept) - 1).astype(np.uint8)
         data = raw.tobytes()
         seqs = [
             FlipSequence(int.from_bytes(data[i : i + width], "little"), length)
@@ -169,22 +170,48 @@ def _final_sign_table(n: int) -> np.ndarray:
     return np.concatenate([np.sign(scores) for _, scores in _omega_scores(n)])
 
 
+# one block of the vectorised parse checks holds at most this many
+# sequences and this many cells (sequences x flips)
+_PARSE_BLOCK_SEQS = 1 << 12
+_PARSE_BLOCK_CELLS = 1 << 20
+
+# the sign of S_n that each position class stands for
+_CLASS_SIGN = {
+    PositionClass.B_WINNING: 1,
+    PositionClass.A_WINNING: -1,
+    PositionClass.INITIAL_TAILRUN: 0,
+    PositionClass.NEUTRAL_ZERO: 0,
+}
+
+
+def _exhaustive(n: int) -> Iterator[list[FlipSequence]]:
+    """Every sequence of length n, in order of bits, in blocks of at most
+    _PARSE_BLOCK_SEQS."""
+    size = min(1 << n, _PARSE_BLOCK_SEQS)
+    for lo in range(0, 1 << n, size):
+        yield [FlipSequence(b, n) for b in range(lo, lo + size)]
+
+
+def _final_classes(n: int) -> Iterator[tuple[list[FlipSequence], list[PositionClass]]]:
+    """Every sequence of length n in blocks, with the class of its position n."""
+    for seqs in _exhaustive(n):
+        yield seqs, [position_class(d, n) for d in decompose_many(seqs)]
+
+
 def _check_position_classifier() -> tuple[bool, str]:
-    zeroish = (PositionClass.INITIAL_TAILRUN, PositionClass.NEUTRAL_ZERO)
     checked = 0
     for n in range(1, 17):
         signs = _final_sign_table(n)
-        for b in range(1 << n):
-            tag = classify_position(FlipSequence(b, n), n)
-            s = signs[b]
-            ok = (
-                (tag is PositionClass.B_WINNING and s > 0)
-                or (tag is PositionClass.A_WINNING and s < 0)
-                or (tag in zeroish and s == 0)
+        for seqs, tags in _final_classes(n):
+            lo = seqs[0].bits
+            wrong = np.flatnonzero(
+                np.fromiter(map(_CLASS_SIGN.__getitem__, tags), np.int16, len(tags))
+                != signs[lo : lo + len(seqs)]
             )
-            if not ok:
-                return False, f"{FlipSequence(b, n)} -> {tag.value} but sign {s}"
-            checked += 1
+            if wrong.size:
+                k = int(wrong[0])
+                return False, f"{seqs[k]} -> {tags[k].value} but sign {signs[lo + k]}"
+            checked += len(seqs)
     return True, f"classifier matches sign(S_n) on all {checked} sequences, n <= 16"
 
 
@@ -192,29 +219,20 @@ def _check_tie_class_mass() -> tuple[bool, str]:
     for n in range(1, 13):
         signs = _final_sign_table(n)
         zero_count = int(np.count_nonzero(signs == 0))
-        class_count = 0
-        for b in range(1 << n):
-            tag = classify_position(FlipSequence(b, n), n)
-            if tag in (PositionClass.INITIAL_TAILRUN, PositionClass.NEUTRAL_ZERO):
-                class_count += 1
+        class_count = sum(
+            tags.count(PositionClass.INITIAL_TAILRUN) + tags.count(PositionClass.NEUTRAL_ZERO)
+            for _, tags in _final_classes(n)
+        )
         if class_count != zero_count:
             return False, f"n={n}: {class_count} zero-class vs {zero_count} S_n=0"
     return True, "P(S_n=0) equals the mass of the two zero classes, n <= 12"
 
 
-# one block of the vectorised parse checks holds at most this many
-# sequences and this many cells (sequences x flips)
-_PARSE_BLOCK_SEQS = 1 << 12
-_PARSE_BLOCK_CELLS = 1 << 20
-
-
 def _short_blocks(n_max: int):
     """Every sequence of length 1..n_max in blocks: (sequences, their flips)."""
     for n in range(1, n_max + 1):
-        size = min(1 << n, _PARSE_BLOCK_SEQS)
-        for lo in range(0, 1 << n, size):
-            seqs = [FlipSequence(b, n) for b in range(lo, lo + size)]
-            b = np.arange(lo, lo + size, dtype=np.int32)
+        for seqs in _exhaustive(n):
+            b = np.arange(seqs[0].bits, seqs[0].bits + len(seqs), dtype=np.int32)
             yield seqs, ((b[:, None] >> np.arange(n, dtype=np.int32)) & 1).astype(np.uint8)
 
 
@@ -372,17 +390,18 @@ def _parse_fault(
 def _check_round_trip() -> tuple[bool, str]:
     for seqs, flips in _short_blocks(16):
         levels = _levels(flips)
-        for seq, row in zip(seqs, levels.tolist()):
-            if row != score_series(seq):
-                return False, f"the check's levels differ from score_series at {seq}"
-        fault = _parse_fault(seqs, [decompose(s) for s in seqs], flips, levels)
+        series = np.fromiter(chain.from_iterable(map(score_series, seqs)), levels.dtype, levels.size)
+        differs = (series.reshape(levels.shape) != levels).any(axis=1)
+        if differs.any():
+            return False, f"the check's levels differ from score_series at {seqs[differs.argmax()]}"
+        fault = _parse_fault(seqs, decompose_many(seqs), flips, levels)
         if fault is not None:
             row, reason = fault
             return False, f"{reason} at {seqs[row]}"
     randoms, length = 10**5, 1000
     done = 0
     for seqs, flips in _random_blocks(104, np.full(randoms, length), 0.5, _parse_batch(length)):
-        fault = _parse_fault(seqs, [decompose(s) for s in seqs], flips, _levels(flips))
+        fault = _parse_fault(seqs, decompose_many(seqs), flips, _levels(flips))
         if fault is not None:
             row, reason = fault
             return False, f"{reason} in random length-{length} sequence {done + row}"
@@ -394,14 +413,13 @@ def _check_round_trip() -> tuple[bool, str]:
 
 
 def _check_interior_scores() -> tuple[bool, str]:
-    # a biased coin drifts the score, so these parses reach decompose's
-    # wide-level path, where a byte match of the levels mod 256 is checked
-    # against the true levels: at head probability 0.8 every length-2000
-    # sequence spans 256 levels or more.  A drifting parse almost never
-    # ends on a closed window, so the short sequences cover the
-    # trailing-head rule.  Both head probabilities draw from seed 106, so
-    # they share their first raw words: the two samples are coupled, and
-    # each alone has its exact law.
+    # a biased coin drifts the score far from 0, where levels held in a
+    # byte (mod 256) would meet false level-0 flips: at head probability
+    # 0.8 every length-2000 sequence spans 256 levels or more.  A drifting
+    # parse almost never ends on a closed window, so the short sequences
+    # cover the trailing-head rule.  Both head probabilities draw from seed
+    # 106, so they share their first raw words: the two samples are
+    # coupled, and each alone has its exact law.
     count, length, short = 250, 2000, 8
     lengths, block = np.full(count, length), _parse_batch(length)
     biased = ((p, *b) for p in (0.2, 0.8) for b in _random_blocks(106, lengths, p, block))
@@ -410,7 +428,7 @@ def _check_interior_scores() -> tuple[bool, str]:
     for p, seqs, flips in blocks:
         levels = _levels(flips)
         wide += int(np.count_nonzero(levels.max(axis=1) - levels.min(axis=1) >= 256))
-        decomps = [decompose(s) for s in seqs]
+        decomps = decompose_many(seqs)
         fault = _parse_fault(seqs, decomps, flips, levels)
         if fault is not None:
             row, reason = fault
@@ -485,14 +503,16 @@ def _decompose_reference(seq: FlipSequence) -> Decomposition:
 
 
 def _check_parser_equivalence() -> tuple[bool, str]:
+    # each sequence is parsed three ways: in a block, alone, and flip by flip
     for n in range(1, 13):
-        for b in range(1 << n):
-            seq = FlipSequence(b, n)
-            if decompose(seq) != _decompose_reference(seq):
-                return False, f"parsers disagree at {seq}"
+        for seqs in _exhaustive(n):
+            for seq, parse in zip(seqs, decompose_many(seqs)):
+                if not parse == decompose(seq) == _decompose_reference(seq):
+                    return False, f"parsers disagree at {seq}"
     trials = 2000
-    for seq in _random_sequences(105, _substream(105).integers(240, 521, trials)):
-        if decompose(seq) != _decompose_reference(seq):
+    seqs = list(_random_sequences(105, _substream(105).integers(240, 521, trials)))
+    for seq, parse in zip(seqs, decompose_many(seqs)):
+        if not parse == decompose(seq) == _decompose_reference(seq):
             return False, f"parsers disagree on a length-{seq.length} sequence"
     return True, (
         f"decompose equals the flip-by-flip reference, exhaustive to length 12 "

@@ -24,6 +24,7 @@ from coinduel.exact import (
     _dp_scan,
     _fft_length,
     _float_sign_sums,
+    _omega_scores,
     _saddle_tilt,
 )
 from coinduel.renewal import fair_scan
@@ -62,6 +63,20 @@ class TestEnumerate:
     def test_invalid_probability(self, bad):
         with pytest.raises(ValueError):
             enumerate_distribution(4, bad)
+
+    @pytest.mark.parametrize("n", [19, 20])
+    def test_omega_chunks_concatenate_to_omega_n(self, n):
+        # two and four chunks of 2^18; the scores by the runs formula
+        # S_n = runs - heads - [flip 1 is a tail] over the whole of Omega_n
+        chunks = list(_omega_scores(n))
+        assert [len(b) for b, _ in chunks] == [1 << 18] * (1 << (n - 18))
+        bits = np.arange(1 << n, dtype=np.uint64)
+        changes = (bits ^ (bits >> np.uint64(1))) & np.uint64((1 << (n - 1)) - 1)
+        runs = 1 + np.bitwise_count(changes).astype(np.int64)
+        tail_first = 1 - (bits & np.uint64(1)).astype(np.int64)
+        scores = runs - np.bitwise_count(bits).astype(np.int64) - tail_first
+        assert np.array_equal(np.concatenate([b for b, _ in chunks]), bits)
+        assert np.array_equal(np.concatenate([s for _, s in chunks]), scores)
 
 
 def reference_dp_scan(n: int, p: Fraction):

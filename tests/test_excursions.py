@@ -11,12 +11,14 @@ from coinduel import (
     ExcursionKind,
     FlipSequence,
     PositionClass,
+    Slot,
     SlotKind,
     classify_excursion,
     classify_position,
     couple,
     coupled_diff_mc,
     decompose,
+    decompose_many,
     enumerate_distribution,
     enumerate_excursions,
     parse_sequence,
@@ -25,6 +27,7 @@ from coinduel import (
     score,
     score_series,
 )
+from coinduel import excursions
 from coinduel.montecarlo import (
     _MAX_BLOCK_CELLS,
     SimConfig,
@@ -34,9 +37,9 @@ from coinduel.montecarlo import (
 )
 from coinduel.excursions import (
     _A_PART,
+    _BLOCK_MIN_CELLS,
     _DEEP,
     _HEAD,
-    _LEVEL_ARRAY_MIN_FLIPS,
     _PAD,
     _SEEK,
     _lookup_table,
@@ -264,7 +267,7 @@ class TestDecompose:
         # both level sources: score_series below the crossover, the level
         # array from it on
         rng = np.random.default_rng(5)
-        for n in range(1, max(601, _LEVEL_ARRAY_MIN_FLIPS + 101)):
+        for n in range(1, max(601, _BLOCK_MIN_CELLS + 101)):
             bits = int.from_bytes(rng.bytes((n + 7) // 8), "little") & ((1 << n) - 1)
             seq = FlipSequence(bits, n)
             assert decompose(seq) == _decompose_reference(seq), n
@@ -358,6 +361,87 @@ class TestDecompose:
                 tau_len = slot.tau_end - slot.start_index + 1
                 assert all(v < 0 for v in series[1 : tau_len - 1])
                 assert series[tau_len - 1] == 0
+
+
+def _random_sequence(rng, n: int, p: float = 0.5) -> FlipSequence:
+    heads = np.packbits(rng.random(n) < p, bitorder="little").tobytes()
+    return FlipSequence(int.from_bytes(heads, "little"), n)
+
+
+class TestDecomposeMany:
+    def test_mixed_lengths_in_one_call(self):
+        # lengths on both sides of whole bytes and of a one-row crossover,
+        # all in one block, with rows of no head and rows that stop on a
+        # renewal head; decompose alone takes either path
+        rng = np.random.default_rng(18)
+        seqs = [
+            _random_sequence(rng, n, p)
+            for n in (1, 2, 223, 224, 225, 1000, 2000)
+            for p in (0.2, 0.5, 0.8)
+        ]
+        seqs += [parse_sequence(t) for t in ("T", "TTTTTTTTT", "T" * 300, "H", "TTH", "HTHH")]
+        seqs += [parse_sequence("HHTT" * 56 + "H"), parse_sequence("HT" * 150 + "H" * 151)]
+        parses = decompose_many(seqs)
+        assert parses == [decompose(s) for s in seqs]
+        assert parses == [_decompose_reference(s) for s in seqs]
+        assert any(d.first_head_pos is None and d.length >= 224 for d in parses)
+        assert any(d.trailing is not None and d.length >= 224 for d in parses)
+
+    @given(st.lists(texts, min_size=1, max_size=12))
+    def test_matches_reference_on_random_lists(self, batch):
+        # up to 12 x 120 flips: small lists take the list path, larger ones a block
+        seqs = [parse_sequence(t) for t in batch]
+        assert decompose_many(seqs) == [_decompose_reference(s) for s in seqs]
+
+    def test_short_blocks_exhaustive(self):
+        seqs = [FlipSequence(b, n) for n in range(1, 11) for b in range(1 << n)]
+        assert decompose_many(seqs) == [_decompose_reference(s) for s in seqs]
+
+    def test_block_and_list_paths_agree(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        seqs = [_random_sequence(rng, n) for n in rng.integers(1, 700, 60).tolist()]
+        expected = [_decompose_reference(s) for s in seqs]
+        for crossover in (0, 1 << 30):
+            monkeypatch.setattr(excursions, "_BLOCK_MIN_CELLS", crossover)
+            assert decompose_many(seqs) == expected
+            assert [decompose(s) for s in seqs] == expected
+
+    def test_blocks_split_at_the_cell_bound(self, monkeypatch):
+        # a bound below one row's cells puts every sequence in a block of its own
+        rng = np.random.default_rng(6)
+        seqs = [_random_sequence(rng, n) for n in (500, 40, 1300, 41, 8, 900)]
+        expected = [_decompose_reference(s) for s in seqs]
+        real = excursions._decompose_rows
+        blocks = []
+
+        def recording(rows, width):
+            blocks.append((len(rows), 8 * width))
+            return real(rows, width)
+
+        monkeypatch.setattr(excursions, "_decompose_rows", recording)
+        for bound in (64, 2048, 1 << 20):
+            monkeypatch.setattr(excursions, "_BLOCK_MAX_CELLS", bound)
+            blocks.clear()
+            assert decompose_many(seqs) == expected
+            assert sum(rows for rows, _ in blocks) == len(seqs)
+            assert all(rows * cols <= bound or rows == 1 for rows, cols in blocks)
+        assert len(blocks) == 1
+
+    def test_slots_hold_the_parsed_sequence(self):
+        seqs = [parse_sequence("HTHHHTTH"), parse_sequence("HHTTHT" * 50)]
+        for seq, d in zip(seqs, decompose_many(seqs)):
+            assert all(type(s) is Slot and s.source is seq for s in d.slots)
+            assert d.serialize() == seq
+
+    def test_empty_input(self):
+        assert decompose_many([]) == []
+        assert decompose_many(iter([parse_sequence("HT")])) == [decompose(parse_sequence("HT"))]
+
+    def test_rejects_a_zero_length_sequence(self):
+        with pytest.raises(ValueError, match="cannot decompose an empty sequence"):
+            decompose(FlipSequence(0, 0))
+        with pytest.raises(ValueError, match="cannot decompose an empty sequence"):
+            decompose_many([parse_sequence("HT"), FlipSequence(0, 0)])
 
 
 class TestClassifyPosition:

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -139,34 +140,39 @@ WRONG_PARSES = {
 @pytest.mark.parametrize("check", [verify._check_round_trip, verify._check_interior_scores])
 @pytest.mark.parametrize("wrong", sorted(WRONG_PARSES))
 def test_window_checks_reject_a_wrong_parse(monkeypatch, check, wrong):
-    real = verify.decompose
-    monkeypatch.setattr(verify, "decompose", lambda seq: WRONG_PARSES[wrong](real(seq)))
+    real = verify.decompose_many
+    monkeypatch.setattr(
+        verify, "decompose_many", lambda seqs: [WRONG_PARSES[wrong](d) for d in real(seqs)]
+    )
     ok, detail = check()
     assert not ok, detail
 
 
 def test_round_trip_checks_its_random_sequences(monkeypatch):
     # the short sequences parse correctly, so only the random part can fail
-    real = verify.decompose
+    real = verify.decompose_many
 
-    def wrong_when_long(seq):
-        d = real(seq)
-        return WRONG_PARSES["complete flipped"](d) if seq.length == 1000 else d
+    def wrong_when_long(seqs):
+        flip = WRONG_PARSES["complete flipped"]
+        return [flip(d) if d.length == 1000 else d for d in real(seqs)]
 
-    monkeypatch.setattr(verify, "decompose", wrong_when_long)
+    monkeypatch.setattr(verify, "decompose_many", wrong_when_long)
     assert verify._check_round_trip() == (
         False,
         "an open window ends before flip n in random length-1000 sequence 0",
     )
 
 
-def test_interior_check_reaches_the_wide_level_path(monkeypatch):
-    # where the levels span 256 or more, decompose checks each byte match of
-    # the levels mod 256 against the true levels; trusting the first byte
-    # match instead must fail the check
-    monkeypatch.setattr(excursions, "_true_return", lambda levels, exact, e, j: j)
+def test_interior_check_catches_levels_held_mod_256(monkeypatch):
+    # levels summed in a byte wrap at +-128 and meet false level-0 flips
+    # where the score reaches +-256, which only the wide sequences do: the
+    # short parses stay right, and the check must fail on a drifting one
+    monkeypatch.setattr(excursions, "_level_dtype", lambda cells: np.int8)
+    short = [FlipSequence(b, n) for n in range(1, 13) for b in range(1 << n)]
+    assert excursions.decompose_many(short) == [verify._decompose_reference(s) for s in short]
     ok, detail = verify._check_interior_scores()
-    assert not ok, detail
+    assert not ok
+    assert "length-2000 sequence" in detail
 
 
 def _slot(seq, start, end, kind, tau_end, complete):
@@ -309,6 +315,21 @@ def test_sampler_draws_heads_at_p():
     cells = flips.size
     assert abs(flips.sum() / cells - 0.8) <= 4 * (0.8 * 0.2 / cells) ** 0.5
     assert sum(s.bits.bit_count() for s in seqs) == flips.sum()
+
+
+def test_sampler_masks_cover_the_block_only():
+    # a mask for every length up to the longest is (n + 1) x n flips, 9.3 GiB
+    # of bools at 10^5 flips; the masks cover the block's own rows
+    tracemalloc.start()
+    try:
+        blocks = _drawn(7, [3, 10**5, 17], batch_size=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    seqs = [s for block, _ in blocks for s in block]
+    assert [s.length for s in seqs] == [3, 10**5, 17]
+    assert all(s.bits >> s.length == 0 for s in seqs)
 
 
 def test_sampler_is_seeded():
