@@ -279,20 +279,22 @@ def _cmd_walk(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    failures = 0
-    total = 0
-
     def report(result):
-        nonlocal failures, total
-        total += 1
-        status = "PASS" if result.ok else "FAIL"
-        print(f"{status} {result.name}: {result.detail} [{result.seconds:.2f} s]", flush=True)
-        if not result.ok:
-            failures += 1
+        if args.json:
+            fields = ("name", "ok", "detail", "seconds")
+            print(json.dumps({k: getattr(result, k) for k in fields}), flush=True)
+        else:
+            status = "PASS" if result.ok else "FAIL"
+            print(f"{status} {result.name}: {result.detail} [{result.seconds:.2f} s]", flush=True)
 
-    run_all(report=report)
-    print(f"{total - failures}/{total} invariants hold")
-    return 0 if failures == 0 else 1
+    results = run_all(report=report)
+    passed = sum(result.ok for result in results)
+    if args.json:
+        seconds = sum(result.seconds for result in results)
+        print(json.dumps({"passed": passed, "total": len(results), "seconds": seconds}))
+    else:
+        print(f"{passed}/{len(results)} invariants hold")
+    return 0 if passed == len(results) else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -353,6 +355,11 @@ def _build_parser() -> argparse.ArgumentParser:
     s.set_defaults(handler=_cmd_walk)
 
     s = sub.add_parser("verify", help="run every documented invariant check")
+    s.add_argument(
+        "--json",
+        action="store_true",
+        help="one JSON object per check (name, ok, detail, seconds), then a summary",
+    )
     s.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -21,7 +21,10 @@ padding is all tails, so no other head is at 0.  Hence the window that
 opens at a renewal head e closes at the next flip after e at level 0: for
 a B window that is its closing head, for an A window tau_end, and the
 window ends at the next renewal head.  `decompose_many` reads a whole
-block of sequences this way from one numpy pass over their levels.
+block of sequences this way: one numpy pass over their levels gives a
+window table, one row per window (`_window_table`), from which the
+`Decomposition`s are built; the verify registry's window checks read the
+table itself.
 """
 
 from __future__ import annotations
@@ -31,11 +34,12 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, repeat
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .core import FlipSequence, reverse, score_series
+from .core import FlipSequence, reverse
 from .exact import _omega_scores
 from .montecarlo import _flip_blocks
 
@@ -207,68 +211,38 @@ def couple(tau: FlipSequence, tail_len: int = 0) -> tuple[FlipSequence, FlipSequ
     return alpha, reverse(alpha)
 
 
-# decompose_many parses a block in one numpy pass from this many cells on
-# (each sequence padded to whole bytes and to the block's longest); below it,
-# numpy's fixed cost per pass is more than reading each score_series list.
-_BLOCK_MIN_CELLS = 320
 # the cells of one numpy pass; a longer input is parsed in consecutive blocks
 _BLOCK_MAX_CELLS = 1 << 20
 
 # Slot.__new__ is a Python function: a block parse makes millions of slots,
-# so _parse builds their tuples directly
+# so _materialise builds their tuples directly
 _new_slot = functools.partial(tuple.__new__, Slot)
+# is_a and tau_end (-1 for none) of a window table, as a Slot's fields:
+# _KINDS[is_a] and _NO_TAU.get(tau_end, tau_end)
+_KINDS = (SlotKind.B, SlotKind.A)
+_NO_TAU = {-1: None}
 
 
-def _parse(seq: FlipSequence, heads: list[int], gaps: list[int]) -> Decomposition:
-    """The renewal parse of seq from its renewal heads: the window rule.
+class _Windows(NamedTuple):
+    """The renewal parses of a block of sequences, as columns.
 
-    heads are the heads j with S_j = 0, in order, and gaps[k] is the
-    distance from heads[k] to the next flip after it at level 0; a gap that
-    does not land in (heads[k], n] means there is none.  The window opened
-    at a renewal head e ends at the next renewal head f, or is open up to
-    flip n.  Its next level-0 flip e + g is f itself for a B window and
-    tau_end < f for an A window, so a closed window is of kind A exactly
-    when e + g < f; the last window takes its kind from flip e + 1.
+    Window k belongs to sequence row[k]: it runs from start[k] to end[k],
+    is of kind A where is_a[k] (else B), has tau_end[k] (-1 for none) and
+    is closed where complete[k].  A sequence's windows are consecutive and
+    in order, and so are the sequences.  Sequence r has length[r] flips,
+    its first head at first[r] (0 for none), and a trailing head where
+    trailing[r].
     """
-    n = seq.length
-    if not heads:
-        return Decomposition(n, n, None, (), None)
-    # bound once: a SlotKind member lookup per window slows the comprehension
-    new, a, b = _new_slot, SlotKind.A, SlotKind.B
-    slots = [
-        new((e, f, a, e + g, True, seq)) if e + g < f else new((e, f, b, None, True, seq))
-        for e, f, g in zip(heads, heads[1:], gaps)
-    ]
-    e = heads[-1]
-    trailing = None
-    if e == n:
-        trailing = new((e, e, SlotKind.UNDETERMINED, None, False, seq))
-    elif seq.bits >> e & 1:
-        tau_end = e + gaps[-1]
-        slots.append(new((e, n, a, tau_end if e < tau_end <= n else None, False, seq)))
-    else:
-        slots.append(new((e, n, b, None, False, seq)))
-    return Decomposition(n, heads[0] - 1, heads[0], tuple(slots), trailing)
 
-
-def _list_heads(seq: FlipSequence) -> tuple[list[int], list[int]]:
-    """The renewal heads of seq and their gaps (see _parse), from score_series."""
-    n, bits = seq.length, seq.bits
-    heads: list[int] = []
-    gaps: list[int] = []
-    if not bits:
-        return heads, gaps
-    levels = score_series(seq)
-    levels.append(0)  # index() stops here, at flip n + 1, when no flip is left at 0
-    # every flip up to the first head is at level 0; walk the level-0 flips from it
-    z = (bits & -bits).bit_length()
-    while z <= n:
-        after = levels.index(0, z) + 1
-        if bits >> (z - 1) & 1:
-            heads.append(z)
-            gaps.append(after - z)
-        z = after
-    return heads, gaps
+    row: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    is_a: np.ndarray
+    tau_end: np.ndarray
+    complete: np.ndarray
+    length: np.ndarray
+    first: np.ndarray
+    trailing: np.ndarray
 
 
 def _level_dtype(cells: int) -> type:
@@ -277,44 +251,126 @@ def _level_dtype(cells: int) -> type:
     return np.int16 if cells < 1 << 15 else np.int32 if cells < 1 << 31 else np.int64
 
 
-def _decompose_block(seqs: list[FlipSequence], width: int) -> list[Decomposition]:
-    """The parses of seqs, none longer than width bytes, from one numpy pass.
+def _window_table(seqs: list[FlipSequence], width: int = 0) -> _Windows:
+    """The window table of seqs (nonempty, none empty) from one numpy pass.
 
-    Row r holds seqs[r] padded with tails to 8 * width cells.  The padding
-    lies past flip n, where no window reads: a gap into it is no gap.
+    Row r holds seqs[r] padded with tails to 8 * width cells (by default
+    the longest sequence's whole bytes).  The padding lies past flip n,
+    where no window reads: a level-0 flip in it is none.
+
+    The window rule: the renewal heads are the heads at level 0.  The
+    window opened at a renewal head e ends at the next renewal head, and
+    is closed, or is open up to flip n; its kind is flip e + 1 (H: A), and
+    an A window's tau_end is the next level-0 flip z after e if z is in
+    the window.  A renewal head on flip n opens no window: it is a
+    trailing head.
     """
+    rows = len(seqs)
+    width = width or max(s.length + 7 for s in seqs) // 8
     cols = 8 * width
-    data = b"".join([s.bits.to_bytes(width, "little") for s in seqs])
-    flips = np.unpackbits(np.frombuffer(data, np.uint8), bitorder="little")
+    if rows == 1:
+        data = seqs[0].bits.to_bytes(width, "little")
+    else:
+        data = b"".join([s.bits.to_bytes(width, "little") for s in seqs])
+    flips = np.unpackbits(np.frombuffer(data, np.uint8), bitorder="little").view(bool)
     f = flips.view(np.int8)
     steps = np.empty(flips.size, np.int8)
-    steps[0] = 0
     # S_j - S_{j-1} = [flip j-1 != flip j] - flip j: +1 after HT, -1 after HH
-    np.bitwise_xor(f[:-1], f[1:], out=steps[1:])
-    np.subtract(steps[1:], f[1:], out=steps[1:])
-    levels = np.add.accumulate(steps, dtype=_level_dtype(steps.size)).reshape(-1, cols)
-    # S_j = 0 where the running sum is back at its value on the row's flip 1,
-    # so the step into a row's flip 1 (from the row before) cancels
-    zero = np.flatnonzero(levels == levels[:, :1])
-    at = np.flatnonzero(flips[zero])  # the level-0 cells that are heads
-    head = zero[at]
-    # the next level-0 cell; the block's last one has none and gets gap 0
-    gap = zero.take(at + 1, mode="clip")
-    gap -= head
-    # row r's heads are bounds[r]:bounds[r + 1]; a single row needs no split
-    bounds = [0, head.size]
-    if len(seqs) > 1:
-        bounds = head.searchsorted(np.arange(0, (len(seqs) + 1) * cols, cols)).tolist()
-        head %= cols
-    head += 1
-    heads, gaps = head.tolist(), gap.tolist()
-    return [_parse(s, heads[a:b], gaps[a:b]) for s, a, b in zip(seqs, bounds, bounds[1:])]
+    later, moves = f[1:], steps[1:]
+    np.bitwise_xor(f[:-1], later, out=moves)
+    np.subtract(moves, later, out=moves)
+    steps[::cols] = 0  # S_1 = 0: a row's first step is none
+    # running sums along each row; a single row needs no reshape
+    rowwise = steps.reshape(rows, cols) if rows > 1 else steps
+    levels = np.add.accumulate(rowwise, axis=-1, dtype=_level_dtype(cols))
+    zero = (levels == 0).ravel().nonzero()[0]
+    at = flips[zero].nonzero()[0]  # the level-0 cells that are heads
+    zero += 1  # from here on positions: cell c is position c + 1
+    e = zero[at]  # the renewal heads
+    # each head's next level-0 flip; the block's last level-0 flip has none
+    z = zero.take(at + 1, mode="clip")
+    is_a = flips.take(e, mode="clip")  # the flip after the head
+    # positions in the head's own row: nxt is the next renewal head (past
+    # flip n if there is none), and z is -1 where no level-0 flip follows
+    # up to flip n.  One row (decompose) skips the split into rows.
+    if rows == 1:
+        n = seqs[0].length
+        row = np.zeros(e.size, np.intp)
+        if e.size and not e[-1] < z[-1] <= n:
+            z[-1] = -1
+        nxt = np.empty_like(e)
+        nxt[:-1] = e[1:]
+    else:
+        length = np.fromiter([s.length for s in seqs], np.intp, rows)
+        row = (e - 1) // cols
+        nxt = np.empty_like(e)
+        nxt[:-1] = e[1:]
+        shift = cols * row
+        e -= shift
+        z -= shift
+        nxt[:-1] -= shift[:-1]
+        n = length[row]
+        z[(z <= e) | (z > n)] = -1
+    nxt[-1:] = cols + 1
+    complete = nxt <= n
+    end = np.minimum(nxt, n)
+    tau_end = np.where(is_a, z, -1)
+    columns = (row, e, end, is_a, tau_end, complete)
+    trailing = np.zeros(rows, bool)
+    # a row's first renewal head is its first head
+    if rows == 1:
+        first = e[:1] if e.size else np.zeros(1, np.intp)
+        length = np.array([n])
+        if e.size and e[-1] == n:
+            trailing[0] = True
+            columns = tuple(c[:-1] for c in columns)
+    else:
+        first = np.zeros(rows, np.intp)
+        opens = np.empty(row.size, bool)
+        opens[:1] = True
+        np.not_equal(row[1:], row[:-1], out=opens[1:])
+        first[row[opens]] = e[opens]
+        windows = e < n
+        if not windows.all():
+            trailing[row[~windows]] = True
+            columns = tuple(c[windows] for c in columns)
+    return _Windows(*columns, length, first, trailing)
+
+
+def _materialise(seqs: list[FlipSequence], table: _Windows) -> list[Decomposition]:
+    """The Decomposition of each of seqs from its rows of the window table."""
+    taus = table.tau_end.tolist()
+    if len(seqs) == 1:
+        counts = [len(taus)]
+        owners = repeat(seqs[0])
+    else:
+        counts = np.bincount(table.row, minlength=len(seqs)).tolist()
+        owners = chain.from_iterable(map(repeat, seqs, counts))
+    fields = zip(
+        table.start.tolist(),
+        table.end.tolist(),
+        map(_KINDS.__getitem__, table.is_a.tolist()),
+        map(_NO_TAU.get, taus, taus),
+        table.complete.tolist(),
+        owners,
+    )
+    slots = tuple(map(_new_slot, fields))
+    parses = []
+    hi = 0
+    for seq, count, first, tail in zip(seqs, counts, table.first.tolist(), table.trailing.tolist()):
+        n = seq.length
+        if not first:
+            parses.append(Decomposition(n, n, None, (), None))
+            continue
+        if tail:
+            tail = _new_slot((n, n, SlotKind.UNDETERMINED, None, False, seq))
+        lo, hi = hi, hi + count
+        parses.append(Decomposition(n, first - 1, first, slots[lo:hi], tail or None))
+    return parses
 
 
 def _decompose_rows(seqs: list[FlipSequence], width: int) -> list[Decomposition]:
-    if 8 * width * len(seqs) < _BLOCK_MIN_CELLS:
-        return [_parse(s, *_list_heads(s)) for s in seqs]
-    return _decompose_block(seqs, width)
+    return _materialise(seqs, _window_table(seqs, width))
 
 
 def decompose_many(seqs: Iterable[FlipSequence]) -> list[Decomposition]:
@@ -322,7 +378,8 @@ def decompose_many(seqs: Iterable[FlipSequence]) -> list[Decomposition]:
 
     Consecutive sequences, of any lengths, are parsed together in blocks
     of up to _BLOCK_MAX_CELLS cells, each sequence padded to its block's
-    longest, and each block in one numpy pass over its levels.
+    longest, and each block in one numpy pass over its levels into a
+    window table, from which the parses are built.
     """
     seqs = list(seqs)
     parses: list[Decomposition] = []

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
-from operator import is_, is_not, itemgetter
+from itertools import chain
+from operator import itemgetter
 from time import perf_counter
 from typing import Callable, Iterator
 
@@ -45,6 +45,8 @@ from .excursions import (
     enumerate_excursions,
     PositionClass,
     position_class,
+    _window_table,
+    _Windows,
 )
 from .montecarlo import DEFAULT_BATCH_SIZE, SimConfig, _flip_blocks, _substream, simulate_game
 from .renewal import ASYMPTOTIC_C, asymptotics, count_rx, fair_scan, pi, renewal_diff
@@ -264,23 +266,18 @@ def _range_reduce(ufunc: np.ufunc, flat: np.ndarray, lo: np.ndarray, hi: np.ndar
     return ufunc.reduceat(flat, bounds)[0::2]
 
 
-def _parse_fault(
-    seqs: list[FlipSequence],
-    decomps: list[Decomposition],
-    flips: np.ndarray,
-    levels: np.ndarray,
-) -> tuple[int, str] | None:
+def _parse_fault(table: _Windows, flips: np.ndarray, levels: np.ndarray) -> tuple[int, str] | None:
     """The first row whose parse breaks the renewal rule, and how; else None.
 
     Of several faults in that row, the first one tested below is named.
 
-    decomps[i] is taken as the parse of seqs[i], whose flips (heads = 1) and
-    running scores S_1..S_n are row i of flips and levels.  Together these
-    conditions admit only the greedy parse:
-    - length, first head and initial tailrun are the sequence's, and every
-      window's source is the sequence;
-    - the windows tile [first head, n]: each starts on the head that closed
-      the one before, and only the last may be open;
+    table is taken as the window table of the rows, whose flips (heads = 1)
+    and running scores S_1..S_n are the rows of flips and levels.  Together
+    these conditions admit only the greedy parse:
+    - length and first head are the sequence's;
+    - the windows belong to the rows in order and tile [first head, n]:
+      each starts on the head that closed the one before, and only the
+      last may be open;
     - each window's kind is the flip after its head (H: A, T: B);
     - a B window stays strictly above its start level inside, and a closed
       one returns to it;
@@ -289,6 +286,12 @@ def _parse_fault(
     - the padding after an A-part is all T, and a closed window ends in H;
     - a trailing head is recorded exactly when the last window closed on
       flip n (or the first head is flip n).
+    The table has no field for the rest of a Decomposition: the initial
+    tailrun, a kind that is neither A nor B, the trailing slot's fields and
+    each slot's source.  Those come from the materialiser
+    (excursions._materialise), whose parses parser-paths-agree holds equal
+    to the flip-by-flip _decompose_reference, which carries the first three,
+    and checks for the source: every slot holds the parsed sequence itself.
     """
     rows, n = flips.shape
     faults: list[tuple[int, str]] = []
@@ -298,40 +301,30 @@ def _parse_fault(
             faults.append((int(where[np.argmin(ok)]), reason))
 
     row_ids = np.arange(rows)
-    has_head = flips.any(axis=1)
-    first = np.where(has_head, flips.argmax(axis=1) + 1, 0)
-    need(np.array([d.length for d in decomps]) == n, row_ids, "wrong length")
-    need(np.array([d.first_head_pos or 0 for d in decomps]) == first, row_ids, "wrong first head")
-    need(
-        np.array([d.initial_tailrun_len for d in decomps]) == np.where(has_head, first - 1, n),
-        row_ids,
-        "wrong initial tailrun",
-    )
+    heads = flips.view(bool)  # as bools, argmax stops at a row's first head
+    has_head = heads.any(axis=1)
+    first = np.where(has_head, heads.argmax(axis=1) + 1, 0)
+    need(table.length == n, row_ids, "wrong length")
+    need(table.first == first, row_ids, "wrong first head")
 
-    # the fields of every window, in order: slot k's field i is fields[6k + i]
-    fields = list(chain.from_iterable(chain.from_iterable(d.slots for d in decomps)))
-    m = len(fields) // 6
-    counts = np.array([len(d.slots) for d in decomps], dtype=np.intp)
-    row = np.repeat(row_ids, counts)
-    start = np.array(fields[0::6], dtype=np.intp)
-    end = np.array(fields[1::6], dtype=np.intp)
-    is_a = np.fromiter(map(is_, fields[2::6], repeat(SlotKind.A)), bool, m)
-    is_b = np.fromiter(map(is_, fields[2::6], repeat(SlotKind.B)), bool, m)
-    has_tau = np.fromiter(map(is_not, fields[3::6], repeat(None)), bool, m)
-    tau = np.array([t or 0 for t in fields[3::6]], dtype=np.intp)
-    complete = np.array(fields[4::6], dtype=bool)
-    owners = chain.from_iterable(map(repeat, seqs, counts.tolist()))
-    same = np.fromiter(map(is_, fields[5::6], owners), bool, m)
-    need(same, row, "a window's source is not the parsed sequence")
-
-    firsts = (np.cumsum(counts) - counts)[counts > 0]
-    lasts = firsts + counts[counts > 0] - 1
+    start, end, is_a, tau, complete = table.start, table.end, table.is_a, table.tau_end, table.complete
+    m = start.size
+    is_b = ~is_a
+    has_tau = tau != -1
+    # each window's row (a row out of range is read as the nearest one),
+    # and the first and last windows of the rows
+    row = np.clip(table.row, 0, rows - 1)
+    opens = np.ones(m, bool)
+    np.not_equal(row[1:], row[:-1], out=opens[1:])
+    firsts = np.flatnonzero(opens)
+    lasts = np.append(firsts[1:], m) - 1 if m else firsts
+    ordered = row == table.row  # rows in range and in order
+    ordered[1:] &= row[1:] >= row[:-1]
     expected_start = np.empty(m, dtype=np.intp)
     expected_start[1:] = end[:-1]
     expected_start[firsts] = first[row[firsts]]
-    need(start == expected_start, row, "windows do not tile from the first head")
+    need(ordered & (start == expected_start), row, "windows do not tile from the first head")
     need((start < end) & (end <= n), row, "a window ends before it starts or after flip n")
-    need(is_a | is_b, row, "a window is neither A nor B")
     need(~has_tau | (is_a & (start < tau) & (tau <= end)), row, "misplaced tau_end")
     need(is_b | has_tau | ~complete, row, "a closed A window has no tau_end")
     need(complete | (end == n), row, "an open window ends before flip n")
@@ -340,15 +333,7 @@ def _parse_fault(
     need(~has_head | (row_end == n), row_ids, "the windows stop before flip n")
     last_closed = np.ones(rows, bool)
     last_closed[row[lasts]] = complete[lasts]
-    # a trailing head is flip n alone, open and of no kind yet
-    bare_head = (n, n, SlotKind.UNDETERMINED, None, False)
-    trailing_ok = [
-        t is not None and t[:5] == bare_head and t.source is s if expected else t is None
-        for t, s, expected in zip(
-            (d.trailing for d in decomps), seqs, (has_head & last_closed).tolist()
-        )
-    ]
-    need(np.array(trailing_ok), row_ids, "wrong trailing head")
+    need(table.trailing == (has_head & last_closed), row_ids, "wrong trailing head")
     if faults or not m:
         return min(faults, key=itemgetter(0), default=None)
 
@@ -394,14 +379,14 @@ def _check_round_trip() -> tuple[bool, str]:
         differs = (series.reshape(levels.shape) != levels).any(axis=1)
         if differs.any():
             return False, f"the check's levels differ from score_series at {seqs[differs.argmax()]}"
-        fault = _parse_fault(seqs, decompose_many(seqs), flips, levels)
+        fault = _parse_fault(_window_table(seqs), flips, levels)
         if fault is not None:
             row, reason = fault
             return False, f"{reason} at {seqs[row]}"
     randoms, length = 10**5, 1000
     done = 0
     for seqs, flips in _random_blocks(104, np.full(randoms, length), 0.5, _parse_batch(length)):
-        fault = _parse_fault(seqs, decompose_many(seqs), flips, _levels(flips))
+        fault = _parse_fault(_window_table(seqs), flips, _levels(flips))
         if fault is not None:
             row, reason = fault
             return False, f"{reason} in random length-{length} sequence {done + row}"
@@ -428,14 +413,14 @@ def _check_interior_scores() -> tuple[bool, str]:
     for p, seqs, flips in blocks:
         levels = _levels(flips)
         wide += int(np.count_nonzero(levels.max(axis=1) - levels.min(axis=1) >= 256))
-        decomps = decompose_many(seqs)
-        fault = _parse_fault(seqs, decomps, flips, levels)
+        table = _window_table(seqs)
+        fault = _parse_fault(table, flips, levels)
         if fault is not None:
             row, reason = fault
             if p is None:
                 return False, f"{reason} at {seqs[row]}"
             return False, f"{reason} in length-{length} sequence {row} at head probability {p}"
-        windows += sum(len(d.slots) for d in decomps)
+        windows += table.start.size
     return True, (
         f"window levels and interior signs hold in {windows} windows: {count} seeded "
         f"length-{length} sequences at each head probability 0.2 and 0.8 ({wide} of them "
@@ -502,18 +487,31 @@ def _decompose_reference(seq: FlipSequence) -> Decomposition:
     return Decomposition(n, first_head - 1, first_head, tuple(slots), trailing)
 
 
+def _holds(parse: Decomposition, seq: FlipSequence) -> bool:
+    """Every slot of parse, the trailing one too, holds seq itself."""
+    held = parse.slots if parse.trailing is None else (*parse.slots, parse.trailing)
+    return all(slot.source is seq for slot in held)
+
+
 def _check_parser_equivalence() -> tuple[bool, str]:
-    # each sequence is parsed three ways: in a block, alone, and flip by flip
+    # each sequence is parsed three ways: in a block, alone, and flip by flip;
+    # the slots of the first two hold the parsed sequence itself, not a copy
     for n in range(1, 13):
         for seqs in _exhaustive(n):
             for seq, parse in zip(seqs, decompose_many(seqs)):
-                if not parse == decompose(seq) == _decompose_reference(seq):
+                alone = decompose(seq)
+                if not parse == alone == _decompose_reference(seq):
                     return False, f"parsers disagree at {seq}"
+                if not (_holds(parse, seq) and _holds(alone, seq)):
+                    return False, f"a slot's source is not the parsed sequence at {seq}"
     trials = 2000
     seqs = list(_random_sequences(105, _substream(105).integers(240, 521, trials)))
     for seq, parse in zip(seqs, decompose_many(seqs)):
-        if not parse == decompose(seq) == _decompose_reference(seq):
+        alone = decompose(seq)
+        if not parse == alone == _decompose_reference(seq):
             return False, f"parsers disagree on a length-{seq.length} sequence"
+        if not (_holds(parse, seq) and _holds(alone, seq)):
+            return False, f"a slot's source is not the parsed length-{seq.length} sequence"
     return True, (
         f"decompose equals the flip-by-flip reference, exhaustive to length 12 "
         f"plus {trials} random sequences"

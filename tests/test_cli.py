@@ -332,6 +332,24 @@ class TestVerifySubcommand:
         assert lines[-1] == f"{checks}/{checks} invariants hold"
         assert checks >= 20
 
+    def test_json_reports_each_check_then_a_summary(self, monkeypatch, capsys):
+        from coinduel import cli, verify
+
+        def raises():
+            raise RuntimeError("boom")
+
+        stubs = [("stub.holds", lambda: (True, "holds")), ("stub.raises", raises)]
+        monkeypatch.setattr(verify, "CHECKS", stubs)
+        # a clock that moves 0.5 s between reads: every check takes 0.5 s
+        monkeypatch.setattr(verify, "perf_counter", iter([0.0, 0.5, 1.0, 1.5]).__next__)
+        assert cli.dispatch(["verify", "--json"]) == 1
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert lines == [
+            {"name": "stub.holds", "ok": True, "detail": "holds", "seconds": 0.5},
+            {"name": "stub.raises", "ok": False, "detail": "raised RuntimeError: boom", "seconds": 0.5},
+            {"passed": 1, "total": 2, "seconds": 1.0},
+        ]
+
 
 class TestImport:
     def test_cli_import_leaves_scipy_unloaded(self):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -37,13 +36,13 @@ from coinduel.montecarlo import (
 )
 from coinduel.excursions import (
     _A_PART,
-    _BLOCK_MIN_CELLS,
     _DEEP,
     _HEAD,
     _PAD,
     _SEEK,
     _lookup_table,
 )
+from coinduel import verify
 from coinduel.verify import _decompose_reference, _levels, _parse_fault
 
 
@@ -264,10 +263,9 @@ class TestDecompose:
         assert decompose(seq).serialize() == seq
 
     def test_parser_paths_agree(self):
-        # both level sources: score_series below the crossover, the level
-        # array from it on
+        # every length to 600, across whole bytes and level-array widths
         rng = np.random.default_rng(5)
-        for n in range(1, max(601, _BLOCK_MIN_CELLS + 101)):
+        for n in range(1, 601):
             bits = int.from_bytes(rng.bytes((n + 7) // 8), "little") & ((1 << n) - 1)
             seq = FlipSequence(bits, n)
             assert decompose(seq) == _decompose_reference(seq), n
@@ -331,10 +329,9 @@ class TestDecompose:
         heads = np.random.default_rng(seed).random(n) < p
         packed = np.packbits(heads, bitorder="little").tobytes()
         seq = FlipSequence(int.from_bytes(packed, "little"), n)
-        d = decompose(seq)
         rows = _packed_flips(seq)
-        assert _parse_fault([seq], [d], rows, _levels(rows)) is None
-        assert d == _decompose_reference(seq)
+        assert _parse_fault(excursions._window_table([seq]), rows, _levels(rows)) is None
+        assert decompose(seq) == _decompose_reference(seq)
 
     @settings(deadline=None, max_examples=12)
     @given(st.integers(10**3, 10**5), st.integers(0, 2**32 - 1), st.data())
@@ -342,13 +339,13 @@ class TestDecompose:
         bits = int.from_bytes(np.random.default_rng(seed).bytes(n // 8), "little")
         seq = FlipSequence(bits, n // 8 * 8)
         rows = _packed_flips(seq)
-        d = decompose(seq)
-        k = data.draw(st.integers(0, len(d.slots) - 1))
-        slot = d.slots[k]
-        moved = slot._replace(end_index=slot.end_index - 1)
-        wrong = dataclasses.replace(d, slots=(*d.slots[:k], moved, *d.slots[k + 1 :]))
-        assert _parse_fault([seq], [d], rows, _levels(rows)) is None
-        assert _parse_fault([seq], [wrong], rows, _levels(rows)) is not None
+        table = excursions._window_table([seq])
+        k = data.draw(st.integers(0, table.end.size - 1))
+        end = table.end.copy()
+        end[k] -= 1
+        wrong = table._replace(end=end)
+        assert _parse_fault(table, rows, _levels(rows)) is None
+        assert _parse_fault(wrong, rows, _levels(rows)) is not None
 
     @given(texts)
     def test_interior_window_scores(self, text):
@@ -397,14 +394,32 @@ class TestDecomposeMany:
         seqs = [FlipSequence(b, n) for n in range(1, 11) for b in range(1 << n)]
         assert decompose_many(seqs) == [_decompose_reference(s) for s in seqs]
 
-    def test_block_and_list_paths_agree(self, monkeypatch):
+    def test_one_row_and_block_paths_agree(self):
+        # one sequence alone skips the block's row split; in a block it
+        # shares the pass with rows of other lengths
         rng = np.random.default_rng(5)
         seqs = [_random_sequence(rng, n) for n in rng.integers(1, 700, 60).tolist()]
         expected = [_decompose_reference(s) for s in seqs]
-        for crossover in (0, 1 << 30):
-            monkeypatch.setattr(excursions, "_BLOCK_MIN_CELLS", crossover)
-            assert decompose_many(seqs) == expected
-            assert [decompose(s) for s in seqs] == expected
+        assert decompose_many(seqs) == expected
+        assert [decompose(s) for s in seqs] == expected
+        assert [excursions._window_table([s]).row.tolist() for s in seqs] == [
+            [0] * len(d.slots) for d in expected
+        ]
+
+    def test_interior_check_draws_match_the_reference(self):
+        # the registry's window checks read the window table, not the
+        # parses: the parses built from it are held to the flip-by-flip
+        # reference on the interior check's drifting draws
+        count, length = 250, 2000
+        wide = 0
+        for p in (0.2, 0.8):
+            for seqs, flips in verify._random_blocks(
+                106, np.full(count, length), p, verify._parse_batch(length)
+            ):
+                assert decompose_many(seqs) == [_decompose_reference(s) for s in seqs]
+                levels = _levels(flips)
+                wide += int(np.count_nonzero(levels.max(axis=1) - levels.min(axis=1) >= 256))
+        assert wide >= 250
 
     def test_blocks_split_at_the_cell_bound(self, monkeypatch):
         # a bound below one row's cells puts every sequence in a block of its own
@@ -430,8 +445,10 @@ class TestDecomposeMany:
     def test_slots_hold_the_parsed_sequence(self):
         seqs = [parse_sequence("HTHHHTTH"), parse_sequence("HHTTHT" * 50)]
         for seq, d in zip(seqs, decompose_many(seqs)):
-            assert all(type(s) is Slot and s.source is seq for s in d.slots)
-            assert d.serialize() == seq
+            for parse in (d, decompose(seq)):
+                assert all(type(s) is Slot and s.source is seq for s in parse.slots)
+                assert parse.trailing is None or parse.trailing.source is seq
+                assert parse.serialize() == seq
 
     def test_empty_input(self):
         assert decompose_many([]) == []

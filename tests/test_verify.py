@@ -84,54 +84,67 @@ def test_acceptance_main_reports_failures_and_crashes(monkeypatch, capsys):
     ]
 
 
-# wrong parses the window checks must reject, each a change to one slot
-# (the first that can take it) or to the whole parse
-_OTHER_KIND = {SlotKind.A: SlotKind.B, SlotKind.B: SlotKind.A}
+# wrong parses the window checks must reject, each a change to the window
+# table: to the first window of each row that can take it, or to every row
+def _first_per_row(table, can_take):
+    k = np.flatnonzero(can_take)
+    rows = table.row[k]
+    return k[np.r_[True, rows[1:] != rows[:-1]]] if k.size else k
 
 
-def _change_first(decomp, can_take, change):
-    for i, slot in enumerate(decomp.slots):
-        if can_take(slot):
-            slots = (*decomp.slots[:i], change(slot), *decomp.slots[i + 1 :])
-            return dataclasses.replace(decomp, slots=slots)
-    return decomp
+def _kind_swapped(table):
+    is_a = table.is_a.copy()
+    is_a[_first_per_row(table, np.ones_like(is_a))] ^= True
+    return table._replace(is_a=is_a)
 
 
-def _scramble(decomp):
+def _tau_moved(by):
+    def move(table):
+        tau = table.tau_end.copy()
+        tau[_first_per_row(table, tau != -1)] += by
+        return table._replace(tau_end=tau)
+
+    return move
+
+
+def _complete_flipped(table):
+    complete = table.complete.copy()
+    complete[_first_per_row(table, np.ones_like(complete))] ^= True
+    return table._replace(complete=complete)
+
+
+def _scramble(table):
     # every kind swapped, and a tau_end on exactly the windows that lack one
-    slots = tuple(
-        s._replace(kind=_OTHER_KIND[s.kind], tau_end=s.end_index if s.tau_end is None else None)
-        for s in decomp.slots
+    tau = np.where(table.tau_end == -1, table.end, -1)
+    return table._replace(is_a=~table.is_a, tau_end=tau)
+
+
+def _swallow_next(table):
+    # in each row, the first window with an A-part runs on over the window after it
+    row = table.row
+    followed = np.zeros_like(table.complete)
+    followed[:-1] = row[1:] == row[:-1]
+    k = _first_per_row(table, (table.tau_end != -1) & followed)
+    end, complete = table.end.copy(), table.complete.copy()
+    end[k], complete[k] = end[k + 1], complete[k + 1]
+    keep = np.ones_like(complete)
+    keep[k + 1] = False
+    return table._replace(
+        row=row[keep],
+        start=table.start[keep],
+        end=end[keep],
+        is_a=table.is_a[keep],
+        tau_end=table.tau_end[keep],
+        complete=complete[keep],
     )
-    return dataclasses.replace(decomp, slots=slots)
-
-
-def _swallow_next(decomp):
-    # the first window with an A-part runs on over the window after it
-    for i, (slot, after) in enumerate(zip(decomp.slots, decomp.slots[1:])):
-        if slot.tau_end is not None:
-            merged = slot._replace(end_index=after.end_index, complete=after.complete)
-            slots = (*decomp.slots[:i], merged, *decomp.slots[i + 2 :])
-            return dataclasses.replace(decomp, slots=slots)
-    return decomp
-
-
-def _any(slot):
-    return True
-
-
-def _has_tau(slot):
-    return slot.tau_end is not None
 
 
 WRONG_PARSES = {
-    "kind swapped": lambda d: _change_first(d, _any, lambda s: s._replace(kind=_OTHER_KIND[s.kind])),
-    "tau_end + 1": lambda d: _change_first(d, _has_tau, lambda s: s._replace(tau_end=s.tau_end + 1)),
-    "tau_end - 1": lambda d: _change_first(d, _has_tau, lambda s: s._replace(tau_end=s.tau_end - 1)),
-    "complete flipped": lambda d: _change_first(
-        d, _any, lambda s: s._replace(complete=not s.complete)
-    ),
-    "trailing dropped": lambda d: dataclasses.replace(d, trailing=None),
+    "kind swapped": _kind_swapped,
+    "tau_end + 1": _tau_moved(1),
+    "tau_end - 1": _tau_moved(-1),
+    "complete flipped": _complete_flipped,
+    "trailing dropped": lambda t: t._replace(trailing=np.zeros_like(t.trailing)),
     "every window scrambled": _scramble,
     "an A window swallows the next": _swallow_next,
 }
@@ -140,23 +153,21 @@ WRONG_PARSES = {
 @pytest.mark.parametrize("check", [verify._check_round_trip, verify._check_interior_scores])
 @pytest.mark.parametrize("wrong", sorted(WRONG_PARSES))
 def test_window_checks_reject_a_wrong_parse(monkeypatch, check, wrong):
-    real = verify.decompose_many
-    monkeypatch.setattr(
-        verify, "decompose_many", lambda seqs: [WRONG_PARSES[wrong](d) for d in real(seqs)]
-    )
+    real = verify._window_table
+    monkeypatch.setattr(verify, "_window_table", lambda seqs: WRONG_PARSES[wrong](real(seqs)))
     ok, detail = check()
     assert not ok, detail
 
 
 def test_round_trip_checks_its_random_sequences(monkeypatch):
     # the short sequences parse correctly, so only the random part can fail
-    real = verify.decompose_many
+    real = verify._window_table
 
     def wrong_when_long(seqs):
-        flip = WRONG_PARSES["complete flipped"]
-        return [flip(d) if d.length == 1000 else d for d in real(seqs)]
+        table = real(seqs)
+        return WRONG_PARSES["complete flipped"](table) if table.length.min() == 1000 else table
 
-    monkeypatch.setattr(verify, "decompose_many", wrong_when_long)
+    monkeypatch.setattr(verify, "_window_table", wrong_when_long)
     assert verify._check_round_trip() == (
         False,
         "an open window ends before flip n in random length-1000 sequence 0",
@@ -190,6 +201,37 @@ def _parse(text, slots, trailing, **fields):
         slots=tuple(_slot(fields.get("source", seq), *s) for s in slots),
         trailing=_slot(seq, seq.length, seq.length, "Undetermined", None, False) if trailing else None,
     )
+
+
+def _table(text, slots, trailing, **fields):
+    """The window table of one row of the same parse as _parse."""
+    start, end, kind, tau, complete = zip(*slots)
+    return excursions._Windows(
+        row=np.zeros(len(slots), np.intp),
+        start=np.array(start),
+        end=np.array(end),
+        is_a=np.array(kind) == "A",
+        tau_end=np.array([-1 if t is None else t for t in tau]),
+        complete=np.array(complete),
+        length=np.array([fields.get("length", len(text))]),
+        first=np.array([fields.get("first_head_pos", text.find("H") + 1)]),
+        trailing=np.array([trailing]),
+    )
+
+
+def _as_reference(seq, decomp):
+    """parser-paths-agree's test of a parse: it equals the flip-by-flip parse
+    of seq, and its slots hold seq itself."""
+    return decomp == verify._decompose_reference(seq) and verify._holds(decomp, seq)
+
+
+# a window table has no field for these: the materialiser builds them, and
+# is held to the flip-by-flip parse (parser-paths-agree, tests/test_excursions.py)
+_OBJECT_RULES = {
+    "wrong initial tailrun",
+    "a window's source is not the parsed sequence",
+    "a window is neither A nor B",
+}
 
 
 # HTHHHTTH parses as B(1, 4) and an A window (4, 8) whose A-part ends at 6
@@ -276,11 +318,68 @@ _B_THEN_A = [(1, 4, "B", None, True), (4, 8, "A", 6, True)]
     ],
 )
 def test_parse_fault_names_each_broken_rule(text, slots, trailing, fields, reason):
-    seq, wrong = _parse(text, slots, trailing, **fields)
+    seq = parse_sequence(text)
+    if reason in _OBJECT_RULES:
+        assert _as_reference(seq, decompose(seq))
+        assert not _as_reference(*_parse(text, slots, trailing, **fields))
+        return
     flips = np.array([[c == "H" for c in text]], dtype=np.uint8)
     levels = verify._levels(flips)
-    assert verify._parse_fault([seq], [decompose(seq)], flips, levels) is None
-    assert verify._parse_fault([seq], [wrong], flips, levels) == (0, reason)
+    assert verify._parse_fault(excursions._window_table([seq]), flips, levels) is None
+    assert verify._parse_fault(_table(text, slots, trailing, **fields), flips, levels) == (0, reason)
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        # a trailing slot that is not flip n alone, open and of no kind yet
+        lambda d, seq: dataclasses.replace(d, trailing=d.trailing._replace(kind=SlotKind.B)),
+        lambda d, seq: dataclasses.replace(d, trailing=d.trailing._replace(start_index=1)),
+        # slots that hold an equal copy of the sequence, not the sequence
+        lambda d, seq: dataclasses.replace(
+            d, slots=tuple(s._replace(source=FlipSequence(seq.bits, seq.length)) for s in d.slots)
+        ),
+        lambda d, seq: dataclasses.replace(
+            d, trailing=d.trailing._replace(source=FlipSequence(seq.bits, seq.length))
+        ),
+    ],
+)
+def test_materialiser_oracle_rejects_a_wrong_object(wrong):
+    seq = parse_sequence("HTHHHTTH")
+    right = decompose(seq)
+    assert _as_reference(seq, right)
+    assert not _as_reference(seq, wrong(right, seq))
+
+
+def test_parser_paths_check_rejects_copied_sources(monkeypatch):
+    real = verify.decompose_many
+
+    def copied(seqs):
+        return [
+            dataclasses.replace(
+                d, slots=tuple(s._replace(source=FlipSequence(s.source.bits, d.length)) for s in d.slots)
+            )
+            for d in real(seqs)
+        ]
+
+    monkeypatch.setattr(verify, "decompose_many", copied)
+    assert verify._check_parser_equivalence() == (
+        False,
+        "a slot's source is not the parsed sequence at HT",
+    )
+
+
+def test_window_table_rejects_rows_out_of_order():
+    text = "HTHHHTTH"
+    seq = parse_sequence(text)
+    flips = np.array([[c == "H" for c in text]] * 2, dtype=np.uint8)
+    table = excursions._window_table([seq, seq])
+    assert verify._parse_fault(table, flips, verify._levels(flips)) is None
+    swapped = table._replace(row=table.row[::-1].copy())
+    assert verify._parse_fault(swapped, flips, verify._levels(flips)) == (
+        0,
+        "windows do not tile from the first head",
+    )
 
 
 def _drawn(seed, lengths, *args, **kwargs):
@@ -354,9 +453,9 @@ def test_interior_check_parses_blocks_within_the_bound(monkeypatch):
     shapes = []
     real = verify._parse_fault
 
-    def recording(seqs, decomps, flips, levels):
+    def recording(table, flips, levels):
         shapes.append(flips.shape)
-        return real(seqs, decomps, flips, levels)
+        return real(table, flips, levels)
 
     monkeypatch.setattr(verify, "_parse_fault", recording)
     assert verify._check_interior_scores()[0]
