@@ -35,6 +35,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -214,15 +215,6 @@ def couple(tau: FlipSequence, tail_len: int = 0) -> tuple[FlipSequence, FlipSequ
 # the cells of one numpy pass; a longer input is parsed in consecutive blocks
 _BLOCK_MAX_CELLS = 1 << 20
 
-# Slot.__new__ is a Python function: a block parse makes millions of slots,
-# so _materialise builds their tuples directly
-_new_slot = functools.partial(tuple.__new__, Slot)
-# is_a and tau_end (-1 for none) of a window table, as a Slot's fields:
-# _KINDS[is_a] and _NO_TAU.get(tau_end, tau_end)
-_KINDS = (SlotKind.B, SlotKind.A)
-_NO_TAU = {-1: None}
-
-
 class _Windows(NamedTuple):
     """The renewal parses of a block of sequences, as columns.
 
@@ -251,12 +243,12 @@ def _level_dtype(cells: int) -> type:
     return np.int16 if cells < 1 << 15 else np.int32 if cells < 1 << 31 else np.int64
 
 
-def _window_table(seqs: list[FlipSequence], width: int = 0) -> _Windows:
+def _window_table(seqs: list[FlipSequence]) -> _Windows:
     """The window table of seqs (nonempty, none empty) from one numpy pass.
 
-    Row r holds seqs[r] padded with tails to 8 * width cells (by default
-    the longest sequence's whole bytes).  The padding lies past flip n,
-    where no window reads: a level-0 flip in it is none.
+    Row r holds seqs[r] padded with tails to the longest sequence's whole
+    bytes.  The padding lies past flip n, where no window reads: a level-0
+    flip in it is none.
 
     The window rule: the renewal heads are the heads at level 0.  The
     window opened at a renewal head e ends at the next renewal head, and
@@ -266,12 +258,9 @@ def _window_table(seqs: list[FlipSequence], width: int = 0) -> _Windows:
     trailing head.
     """
     rows = len(seqs)
-    width = width or max(s.length + 7 for s in seqs) // 8
+    width = max(s.length + 7 for s in seqs) // 8
     cols = 8 * width
-    if rows == 1:
-        data = seqs[0].bits.to_bytes(width, "little")
-    else:
-        data = b"".join([s.bits.to_bytes(width, "little") for s in seqs])
+    data = b"".join([s.bits.to_bytes(width, "little") for s in seqs])
     flips = np.unpackbits(np.frombuffer(data, np.uint8), bitorder="little").view(bool)
     f = flips.view(np.int8)
     steps = np.empty(flips.size, np.int8)
@@ -280,9 +269,7 @@ def _window_table(seqs: list[FlipSequence], width: int = 0) -> _Windows:
     np.bitwise_xor(f[:-1], later, out=moves)
     np.subtract(moves, later, out=moves)
     steps[::cols] = 0  # S_1 = 0: a row's first step is none
-    # running sums along each row; a single row needs no reshape
-    rowwise = steps.reshape(rows, cols) if rows > 1 else steps
-    levels = np.add.accumulate(rowwise, axis=-1, dtype=_level_dtype(cols))
+    levels = np.add.accumulate(steps.reshape(rows, cols), axis=1, dtype=_level_dtype(cols))
     zero = (levels == 0).ravel().nonzero()[0]
     at = flips[zero].nonzero()[0]  # the level-0 cells that are heads
     zero += 1  # from here on positions: cell c is position c + 1
@@ -290,71 +277,68 @@ def _window_table(seqs: list[FlipSequence], width: int = 0) -> _Windows:
     # each head's next level-0 flip; the block's last level-0 flip has none
     z = zero.take(at + 1, mode="clip")
     is_a = flips.take(e, mode="clip")  # the flip after the head
+    nxt = np.empty_like(e)
+    nxt[:-1] = e[1:]
+    nxt[-1:] = cols + 1
     # positions in the head's own row: nxt is the next renewal head (past
-    # flip n if there is none), and z is -1 where no level-0 flip follows
-    # up to flip n.  One row (decompose) skips the split into rows.
+    # flip n if there is none), z is -1 where no level-0 flip follows up to
+    # flip n, and the windows are the renewal heads before flip n; a row's
+    # first renewal head is its first head.  One row skips the split into rows.
     if rows == 1:
         n = seqs[0].length
-        row = np.zeros(e.size, np.intp)
-        if e.size and not e[-1] < z[-1] <= n:
-            z[-1] = -1
-        nxt = np.empty_like(e)
-        nxt[:-1] = e[1:]
+        length = np.array([n])
+        first = np.zeros(1, np.intp)
+        trailing = np.zeros(1, bool)
+        if e.size:
+            if not e[-1] < z[-1] <= n:
+                z[-1] = -1
+            first[0] = e[0]
+            trailing[0] = e[-1] == n
+        windows = slice(e.size - int(trailing[0]))
+        row = np.zeros(windows.stop, np.intp)
     else:
         length = np.fromiter([s.length for s in seqs], np.intp, rows)
         row = (e - 1) // cols
-        nxt = np.empty_like(e)
-        nxt[:-1] = e[1:]
         shift = cols * row
         e -= shift
         z -= shift
         nxt[:-1] -= shift[:-1]
         n = length[row]
         z[(z <= e) | (z > n)] = -1
-    nxt[-1:] = cols + 1
-    complete = nxt <= n
-    end = np.minimum(nxt, n)
-    tau_end = np.where(is_a, z, -1)
-    columns = (row, e, end, is_a, tau_end, complete)
-    trailing = np.zeros(rows, bool)
-    # a row's first renewal head is its first head
-    if rows == 1:
-        first = e[:1] if e.size else np.zeros(1, np.intp)
-        length = np.array([n])
-        if e.size and e[-1] == n:
-            trailing[0] = True
-            columns = tuple(c[:-1] for c in columns)
-    else:
         first = np.zeros(rows, np.intp)
         opens = np.empty(row.size, bool)
         opens[:1] = True
         np.not_equal(row[1:], row[:-1], out=opens[1:])
         first[row[opens]] = e[opens]
         windows = e < n
-        if not windows.all():
-            trailing[row[~windows]] = True
-            columns = tuple(c[windows] for c in columns)
-    return _Windows(*columns, length, first, trailing)
+        trailing = np.zeros(rows, bool)
+        trailing[row[~windows]] = True
+        row, n = row[windows], n[windows]
+    e, z, nxt, is_a = e[windows], z[windows], nxt[windows], is_a[windows]
+    complete = nxt <= n
+    end = np.minimum(nxt, n)
+    tau_end = np.where(is_a, z, -1)
+    return _Windows(row, e, end, is_a, tau_end, complete, length, first, trailing)
 
 
 def _materialise(seqs: list[FlipSequence], table: _Windows) -> list[Decomposition]:
     """The Decomposition of each of seqs from its rows of the window table."""
-    taus = table.tau_end.tolist()
-    if len(seqs) == 1:
-        counts = [len(taus)]
-        owners = repeat(seqs[0])
-    else:
-        counts = np.bincount(table.row, minlength=len(seqs)).tolist()
-        owners = chain.from_iterable(map(repeat, seqs, counts))
+    counts = np.bincount(table.row, minlength=len(seqs)).tolist()
     fields = zip(
         table.start.tolist(),
         table.end.tolist(),
-        map(_KINDS.__getitem__, table.is_a.tolist()),
-        map(_NO_TAU.get, taus, taus),
+        table.is_a.tolist(),
+        table.tau_end.tolist(),
         table.complete.tolist(),
-        owners,
+        chain.from_iterable(map(repeat, seqs, counts)),
     )
-    slots = tuple(map(_new_slot, fields))
+    kind_a, kind_b = SlotKind.A, SlotKind.B  # an Enum member lookup per slot is slow
+    slots = tuple(
+        [
+            Slot(start, end, kind_a if is_a else kind_b, None if tau < 0 else tau, closed, seq)
+            for start, end, is_a, tau, closed, seq in fields
+        ]
+    )
     parses = []
     hi = 0
     for seq, count, first, tail in zip(seqs, counts, table.first.tolist(), table.trailing.tolist()):
@@ -362,15 +346,10 @@ def _materialise(seqs: list[FlipSequence], table: _Windows) -> list[Decompositio
         if not first:
             parses.append(Decomposition(n, n, None, (), None))
             continue
-        if tail:
-            tail = _new_slot((n, n, SlotKind.UNDETERMINED, None, False, seq))
+        trailing = Slot(n, n, SlotKind.UNDETERMINED, None, False, seq) if tail else None
         lo, hi = hi, hi + count
-        parses.append(Decomposition(n, first - 1, first, slots[lo:hi], tail or None))
+        parses.append(Decomposition(n, first - 1, first, slots[lo:hi], trailing))
     return parses
-
-
-def _decompose_rows(seqs: list[FlipSequence], width: int) -> list[Decomposition]:
-    return _materialise(seqs, _window_table(seqs, width))
 
 
 def decompose_many(seqs: Iterable[FlipSequence]) -> list[Decomposition]:
@@ -389,12 +368,14 @@ def decompose_many(seqs: Iterable[FlipSequence]) -> list[Decomposition]:
             raise ValueError("cannot decompose an empty sequence")
         w = (seq.length + 7) // 8
         if i > lo and 8 * (w if w > width else width) * (i + 1 - lo) > _BLOCK_MAX_CELLS:
-            parses += _decompose_rows(seqs[lo:i], width)
+            block = seqs[lo:i]
+            parses += _materialise(block, _window_table(block))
             lo, width = i, w
         elif w > width:
             width = w
     if lo < len(seqs):
-        parses += _decompose_rows(seqs[lo:], width)
+        block = seqs[lo:]
+        parses += _materialise(block, _window_table(block))
     return parses
 
 
@@ -409,16 +390,8 @@ def decompose(seq: FlipSequence) -> Decomposition:
     next flip at level 0: a B window's closing head, or an A window's
     tau_end, after which the window runs to the next renewal head.
     """
-    if not seq.length:
-        raise ValueError("cannot decompose an empty sequence")
-    (parse,) = _decompose_rows([seq], (seq.length + 7) // 8)
+    (parse,) = decompose_many([seq])
     return parse
-
-
-def _slot_containing(decomp: Decomposition, pos: int) -> Slot:
-    # windows tile (first_head_pos, length]; ends are strictly increasing
-    ends = [s.end_index for s in decomp.slots]
-    return decomp.slots[bisect_left(ends, pos)]
 
 
 def position_class(decomp: Decomposition, pos: int) -> PositionClass:
@@ -427,7 +400,8 @@ def position_class(decomp: Decomposition, pos: int) -> PositionClass:
         raise IndexError(f"position {pos} outside 1..{decomp.length}")
     if decomp.first_head_pos is None or pos <= decomp.first_head_pos:
         return PositionClass.INITIAL_TAILRUN
-    slot = _slot_containing(decomp, pos)
+    # windows tile (first_head_pos, length]; ends are strictly increasing
+    slot = decomp.slots[bisect_left(decomp.slots, pos, key=attrgetter("end_index"))]
     if slot.kind is SlotKind.B:
         # strictly inside a B window the score is positive; the closing head
         # (and any truncation point before it) has been counted out

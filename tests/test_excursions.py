@@ -367,9 +367,9 @@ def _random_sequence(rng, n: int, p: float = 0.5) -> FlipSequence:
 
 class TestDecomposeMany:
     def test_mixed_lengths_in_one_call(self):
-        # lengths on both sides of whole bytes and of a one-row crossover,
-        # all in one block, with rows of no head and rows that stop on a
-        # renewal head; decompose alone takes either path
+        # lengths on both sides of whole bytes, all in one block, with rows
+        # of no head and rows that stop on a renewal head; decompose alone
+        # parses each as a block of one row
         rng = np.random.default_rng(18)
         seqs = [
             _random_sequence(rng, n, p)
@@ -386,7 +386,7 @@ class TestDecomposeMany:
 
     @given(st.lists(texts, min_size=1, max_size=12))
     def test_matches_reference_on_random_lists(self, batch):
-        # up to 12 x 120 flips: small lists take the list path, larger ones a block
+        # up to 12 x 120 flips, each list parsed in one block
         seqs = [parse_sequence(t) for t in batch]
         assert decompose_many(seqs) == [_decompose_reference(s) for s in seqs]
 
@@ -426,14 +426,15 @@ class TestDecomposeMany:
         rng = np.random.default_rng(6)
         seqs = [_random_sequence(rng, n) for n in (500, 40, 1300, 41, 8, 900)]
         expected = [_decompose_reference(s) for s in seqs]
-        real = excursions._decompose_rows
+        real = excursions._window_table
         blocks = []
 
-        def recording(rows, width):
-            blocks.append((len(rows), 8 * width))
-            return real(rows, width)
+        def recording(rows):
+            # each row is padded to the block's longest sequence, in whole bytes
+            blocks.append((len(rows), 8 * ((max(s.length for s in rows) + 7) // 8)))
+            return real(rows)
 
-        monkeypatch.setattr(excursions, "_decompose_rows", recording)
+        monkeypatch.setattr(excursions, "_window_table", recording)
         for bound in (64, 2048, 1 << 20):
             monkeypatch.setattr(excursions, "_BLOCK_MAX_CELLS", bound)
             blocks.clear()
@@ -513,6 +514,23 @@ class TestClassifyPosition:
             0: {PositionClass.INITIAL_TAILRUN, PositionClass.NEUTRAL_ZERO},
         }[sign(s)]
         assert tag in expected
+
+    def test_matches_score_sign_over_ten_thousand_windows(self):
+        # a B window, an A window and an A window with two padding tails,
+        # each opened by the previous window's closing head: every position
+        # of a long parse that ends on a trailing head
+        rng = np.random.default_rng(22)
+        windows = ("THH", "HTH", "HTTTH")
+        picks = rng.integers(0, len(windows), 10**4).tolist()
+        seq = parse_sequence("H" + "".join(windows[i] for i in picks))
+        d = decompose(seq)
+        assert len(d.slots) == 10**4
+        assert {s.kind for s in d.slots} == {SlotKind.A, SlotKind.B}
+        assert d.trailing is not None
+        tags = [position_class(d, pos) for pos in range(1, seq.length + 1)]
+        assert tags[0] is PositionClass.INITIAL_TAILRUN
+        by_sign = {1: PositionClass.B_WINNING, -1: PositionClass.A_WINNING, 0: PositionClass.NEUTRAL_ZERO}
+        assert tags[1:] == [by_sign[sign(s)] for s in score_series(seq)[1:]]
 
     def test_zero_class_mass_matches_tie_probability(self):
         # realized-branch tie identity at enumeration scale
