@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .exact import (
@@ -265,16 +266,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_walk(args) -> int:
     report = tailwalk(args.steps, args.seed)
-    _emit(
-        {
-            "command": "walk",
-            "method": "mc",
-            "steps": report.steps,
-            "seed": report.seed,
-            "zero_hits": report.zero_hits,
-            "sample_mean_jump": report.sample_mean_jump,
-        }
-    )
+    _emit({"command": "walk", "method": "mc", **asdict(report)})
     return 0
 
 

@@ -501,8 +501,11 @@ def coupled_diff_mc(
     the estimate is half the hit rate.  The trials read the fair blocks of
     `simulate_game` (montecarlo's reproducibility contract at p = 1/2): flip
     i of a trial is position i + 1, and the pinned position after a renewal
-    head ignores its flip.  Every trial of a block moves through the states
-    of _step together, eight flips per table lookup (see _lookup_table).
+    head ignores its flip.  batch_size defaults to 2^16 here but to 4096
+    (DEFAULT_BATCH_SIZE) in `simulate_game`, so with their defaults the two
+    read different fair blocks.  Every trial of a block moves through the
+    states of _step together, eight flips per table lookup (see
+    _lookup_table).
     """
     if n < 3:
         raise ValueError("n must be >= 3")

@@ -11,7 +11,7 @@ open lane at its start, digit by digit and, within a digit, in word order
 (`_bernoulli_words`). At p = 1/2, which has one digit, that is one raw word
 per word. The coupled estimator (`excursions.coupled_diff_mc`) reads the
 same fair blocks. So results depend only on (n, p, trials, seed,
-batch_size) and are identical across platforms and worker counts.
+batch_size) and are identical across platforms.
 """
 
 from __future__ import annotations

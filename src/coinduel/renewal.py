@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
@@ -181,14 +181,7 @@ class AsymptoticReport:
     deficit_A: float
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "c": self.c,
-            "diff_approx": self.diff_approx,
-            "tie_approx": self.tie_approx,
-            "deficit_B": self.deficit_B,
-            "deficit_A": self.deficit_A,
-        }
+        return asdict(self)
 
 
 def asymptotics(n: int) -> AsymptoticReport:

@@ -45,6 +45,7 @@ from .excursions import (
     enumerate_excursions,
     PositionClass,
     position_class,
+    _BLOCK_MAX_CELLS,
     _window_table,
     _Windows,
 )
@@ -63,18 +64,21 @@ class InvariantResult:
 
 
 def _random_blocks(
-    seed: int, lengths: np.ndarray, p: float = 0.5, batch_size: int = DEFAULT_BATCH_SIZE
+    seed: int, lengths: np.ndarray, p: float = 0.5
 ) -> Iterator[tuple[list[FlipSequence], np.ndarray]]:
     """Random sequences of the given lengths, block by block, and their flips.
 
     Sequence g is game g of the simulator's `_flip_blocks(max(lengths), p,
-    len(lengths), seed, batch_size)` cut to lengths[g] flips.  Its flip row
-    holds those flips (heads = 1), then zeros up to max(lengths).
+    len(lengths), seed, batch)` cut to lengths[g] flips.  Its flip row
+    holds those flips (heads = 1), then zeros up to max(lengths).  A batch,
+    and so a block, holds DEFAULT_BATCH_SIZE sequences, or as many as keep
+    its flip rows within the parse's _BLOCK_MAX_CELLS if that is fewer.
     """
     n = int(lengths.max())
     width = (n + 7) // 8
+    batch = max(1, min(DEFAULT_BATCH_SIZE, _BLOCK_MAX_CELLS // n))
     done = 0
-    for words in _flip_blocks(n, p, len(lengths), seed, batch_size):
+    for words in _flip_blocks(n, p, len(lengths), seed, batch):
         rows = lengths[done : done + words.shape[1]]
         done += rows.size
         raw = np.ascontiguousarray(words.T, dtype="<u8").view(np.uint8)[:, :width]
@@ -99,13 +103,9 @@ def _random_sequences(seed: int, lengths: np.ndarray) -> Iterator[FlipSequence]:
 
 def _check_runs_formula() -> tuple[bool, str]:
     checked = 0
-    for n in range(1, 17):
-        for b in range(1 << n):
-            seq = FlipSequence(b, n)
-            if score_via_runs(seq) != score_series(seq)[-1]:
-                return False, f"mismatch at {seq}"
-            checked += 1
-    for seq in _random_sequences(101, _substream(101).integers(17, 129, 10**5)):
+    seqs = (FlipSequence(b, n) for n in range(1, 17) for b in range(1 << n))
+    extras = _random_sequences(101, _substream(101).integers(17, 129, 10**5))
+    for seq in chain(seqs, extras):
         if score_via_runs(seq) != score_series(seq)[-1]:
             return False, f"mismatch at {seq}"
         checked += 1
@@ -172,11 +172,6 @@ def _final_sign_table(n: int) -> np.ndarray:
     return np.concatenate([np.sign(scores) for _, scores in _omega_scores(n)])
 
 
-# one block of the vectorised parse checks holds at most this many
-# sequences and this many cells (sequences x flips)
-_PARSE_BLOCK_SEQS = 1 << 12
-_PARSE_BLOCK_CELLS = 1 << 20
-
 # the sign of S_n that each position class stands for
 _CLASS_SIGN = {
     PositionClass.B_WINNING: 1,
@@ -188,8 +183,8 @@ _CLASS_SIGN = {
 
 def _exhaustive(n: int) -> Iterator[list[FlipSequence]]:
     """Every sequence of length n, in order of bits, in blocks of at most
-    _PARSE_BLOCK_SEQS."""
-    size = min(1 << n, _PARSE_BLOCK_SEQS)
+    DEFAULT_BATCH_SIZE."""
+    size = min(1 << n, DEFAULT_BATCH_SIZE)
     for lo in range(0, 1 << n, size):
         yield [FlipSequence(b, n) for b in range(lo, lo + size)]
 
@@ -236,11 +231,6 @@ def _short_blocks(n_max: int):
         for seqs in _exhaustive(n):
             b = np.arange(seqs[0].bits, seqs[0].bits + len(seqs), dtype=np.int32)
             yield seqs, ((b[:, None] >> np.arange(n, dtype=np.int32)) & 1).astype(np.uint8)
-
-
-def _parse_batch(length: int) -> int:
-    """Sequences per block of length-`length` flips in the parse checks."""
-    return min(_PARSE_BLOCK_SEQS, _PARSE_BLOCK_CELLS // length)
 
 
 def _levels(flips: np.ndarray) -> np.ndarray:
@@ -385,7 +375,7 @@ def _check_round_trip() -> tuple[bool, str]:
             return False, f"{reason} at {seqs[row]}"
     randoms, length = 10**5, 1000
     done = 0
-    for seqs, flips in _random_blocks(104, np.full(randoms, length), 0.5, _parse_batch(length)):
+    for seqs, flips in _random_blocks(104, np.full(randoms, length)):
         fault = _parse_fault(_window_table(seqs), flips, _levels(flips))
         if fault is not None:
             row, reason = fault
@@ -406,8 +396,8 @@ def _check_interior_scores() -> tuple[bool, str]:
     # 106, so they share their first raw words: the two samples are
     # coupled, and each alone has its exact law.
     count, length, short = 250, 2000, 8
-    lengths, block = np.full(count, length), _parse_batch(length)
-    biased = ((p, *b) for p in (0.2, 0.8) for b in _random_blocks(106, lengths, p, block))
+    lengths = np.full(count, length)
+    biased = ((p, *b) for p in (0.2, 0.8) for b in _random_blocks(106, lengths, p))
     blocks = chain(((None, *b) for b in _short_blocks(short)), biased)
     windows = wide = 0
     for p, seqs, flips in blocks:

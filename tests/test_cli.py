@@ -7,6 +7,7 @@ byte-equality tests pin both the numbers and the serialization format.
 """
 
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -316,6 +317,41 @@ class TestExitCodes:
         assert err.startswith("error:") and str(DP_FLOAT_MAX_N) in err and "2 s" in err
 
 
+# the pass details of the core and excursions checks hold only integers and
+# text, all of them fixed by seeded raw PCG64 words, so they read the same on
+# every platform and numpy version: a change to a check's draws shows here
+PINNED_DETAILS = {
+    "core.runs-formula-matches-score-series": (
+        "231070 sequences (exhaustive to length 16 plus 10^5 random)"
+    ),
+    "core.reversal-pattern-law": "18190 sequences (exhaustive to length 12 plus 10^4 random)",
+    "core.reversal-preserves-score-between-heads": "32768 H..H sequences, exhaustive to length 16",
+    "core.score-additivity-at-shared-flip": "10000 random splits of random sequences",
+    "excursions.reversal-bijection-b-to-ahat": (
+        "B_k <-> Ahat_k match for k <= 14 (142 excursions per side)"
+    ),
+    "excursions.position-classifier-matches-score-sign": (
+        "classifier matches sign(S_n) on all 131070 sequences, n <= 16"
+    ),
+    "excursions.tie-probability-matches-zero-classes": (
+        "P(S_n=0) equals the mass of the two zero classes, n <= 12"
+    ),
+    "excursions.decomposition-round-trip": (
+        "every parse checked against its own score levels: exhaustive to length 16 "
+        "plus 100000 random length-1000 sequences"
+    ),
+    "excursions.window-interior-score-signs": (
+        "window levels and interior signs hold in 1501 windows: 250 seeded length-2000 "
+        "sequences at each head probability 0.2 and 0.8 (288 of them spanning 256 levels "
+        "or more) and every sequence to length 8"
+    ),
+    "excursions.parser-paths-agree": (
+        "decompose equals the flip-by-flip reference, exhaustive to length 12 "
+        "plus 2000 random sequences"
+    ),
+}
+
+
 class TestVerifySubcommand:
     def test_all_invariants_pass(self):
         # pyproject's RuntimeWarning filter stops at this process, so the
@@ -331,6 +367,11 @@ class TestVerifySubcommand:
         checks = len(lines) - 1
         assert lines[-1] == f"{checks}/{checks} invariants hold"
         assert checks >= 20
+        details = dict(
+            re.fullmatch(r"PASS (\S+): (.*) \[\d+\.\d\d s\]", line).groups()
+            for line in lines[:-1]
+        )
+        assert {name: details[name] for name in PINNED_DETAILS} == PINNED_DETAILS
 
     def test_json_reports_each_check_then_a_summary(self, monkeypatch, capsys):
         from coinduel import cli, verify

@@ -413,9 +413,7 @@ class TestDecomposeMany:
         count, length = 250, 2000
         wide = 0
         for p in (0.2, 0.8):
-            for seqs, flips in verify._random_blocks(
-                106, np.full(count, length), p, verify._parse_batch(length)
-            ):
+            for seqs, flips in verify._random_blocks(106, np.full(count, length), p):
                 assert decompose_many(seqs) == [_decompose_reference(s) for s in seqs]
                 levels = _levels(flips)
                 wide += int(np.count_nonzero(levels.max(axis=1) - levels.min(axis=1) >= 256))

@@ -382,35 +382,43 @@ def test_window_table_rejects_rows_out_of_order():
     )
 
 
-def _drawn(seed, lengths, *args, **kwargs):
+def _drawn(seed, lengths, p=0.5):
     """The blocks of verify's sampler, as (sequences, flip rows) pairs."""
-    return list(verify._random_blocks(seed, np.asarray(lengths), *args, **kwargs))
+    return list(verify._random_blocks(seed, np.asarray(lengths), p))
 
 
 def test_sampler_cuts_each_sequence_to_its_length():
-    # runs-formula's length range; small batches give many blocks
-    lengths = verify._substream(101).integers(17, 129, 3000)
-    seqs = [s for block, _ in _drawn(101, lengths, batch_size=37) for s in block]
-    assert len(seqs) == 3000
+    # the longest sequence sets the block: 2^20 // 10^4 = 104 rows
+    lengths = verify._substream(101).integers(17, 10**4, 300)
+    lengths[-1] = 10**4
+    blocks = _drawn(101, lengths)
+    assert [len(block) for block, _ in blocks] == [104, 104, 92]
+    seqs = [s for block, _ in blocks for s in block]
     assert [s.length for s in seqs] == lengths.tolist()
-    assert (lengths.min(), lengths.max()) == (17, 128)
     assert all(s.bits >> s.length == 0 for s in seqs)
     # and something survives the cut: the top flip is a head about half the time
-    assert 1200 < sum(s.bits >> (s.length - 1) for s in seqs) < 1800
+    assert 110 < sum(s.bits >> (s.length - 1) for s in seqs) < 190
 
 
-@pytest.mark.parametrize("batch_size", [1, 7, 4096])
-def test_sampler_flip_rows_are_the_sequences_bits(batch_size):
-    lengths = verify._substream(5).integers(1, 131, 50)
+@pytest.mark.parametrize("longest", [1, 7, 130, 10**4])
+def test_sampler_flip_rows_are_the_sequences_bits(longest):
+    # one-flip sequences, rows shorter than a byte, the one-block draw at the
+    # default batch, and a draw the longest sequence splits into three blocks
+    lengths = verify._substream(5).integers(1, longest + 1, 300)
     n = int(lengths.max())
-    for seqs, flips in _drawn(5, lengths, batch_size=batch_size):
+    blocks = _drawn(5, lengths)
+    assert len(blocks) == {1: 1, 7: 1, 130: 1, 10**4: 3}[longest]
+    for seqs, flips in blocks:
         assert flips.shape == (len(seqs), n)
-        assert flips.tolist() == [[(s.bits >> i) & 1 for i in range(n)] for s in seqs]
+        packed = np.packbits(flips, axis=1, bitorder="little")
+        assert [int.from_bytes(row.tobytes(), "little") for row in packed] == [
+            s.bits for s in seqs
+        ]
 
 
 def test_sampler_draws_heads_at_p():
     # the interior check's draw at head probability 0.8
-    ((seqs, flips),) = _drawn(106, np.full(250, 2000), 0.8, verify._parse_batch(2000))
+    ((seqs, flips),) = _drawn(106, np.full(250, 2000), 0.8)
     cells = flips.size
     assert abs(flips.sum() / cells - 0.8) <= 4 * (0.8 * 0.2 / cells) ** 0.5
     assert sum(s.bits.bit_count() for s in seqs) == flips.sum()
@@ -421,7 +429,7 @@ def test_sampler_masks_cover_the_block_only():
     # of bools at 10^5 flips; the masks cover the block's own rows
     tracemalloc.start()
     try:
-        blocks = _drawn(7, [3, 10**5, 17], batch_size=2)
+        blocks = _drawn(7, [3, 10**5, 17])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -440,13 +448,44 @@ def test_sampler_is_seeded():
 
 @pytest.mark.parametrize("length", [3, 300, 1000, 2000])
 def test_parse_check_blocks_keep_their_bound(length):
-    batch = verify._parse_batch(length)
-    blocks = _drawn(1, np.full(2 * batch + 1, length), 0.5, batch)
-    assert sum(len(seqs) for seqs, _ in blocks) == 2 * batch + 1
+    # a block holds DEFAULT_BATCH_SIZE rows, or fewer where its cells would
+    # pass the parse's bound
+    batch = min(verify.DEFAULT_BATCH_SIZE, excursions._BLOCK_MAX_CELLS // length)
+    blocks = _drawn(1, np.full(2 * batch + 1, length))
+    assert [len(seqs) for seqs, _ in blocks] == [batch, batch, 1]
     for seqs, flips in blocks:
         assert flips.shape == (len(seqs), length)
-        assert len(seqs) <= verify._PARSE_BLOCK_SEQS
-        assert flips.size <= verify._PARSE_BLOCK_CELLS
+        assert len(seqs) <= verify.DEFAULT_BATCH_SIZE
+        assert flips.size <= excursions._BLOCK_MAX_CELLS
+
+
+def test_every_registry_draw_keeps_the_block_bounds(monkeypatch):
+    # record each draw of the checks, and skip their exhaustive parts; a
+    # draw's first block is its largest, because every batch but the last
+    # is full and the simulator does not split a batch this small
+    calls = []
+
+    def recording(seed, lengths, p=0.5):
+        calls.append((seed, lengths, p))
+        return iter(())
+
+    monkeypatch.setattr(verify, "_random_blocks", recording)
+    monkeypatch.setattr(verify, "_exhaustive", lambda n: iter(()))
+    for name, check in verify.CHECKS:
+        if name.startswith(("core.", "excursions.")):
+            check()
+    assert [(seed, p) for seed, _, p in calls] == [
+        (101, 0.5), (102, 0.5), (103, 0.5), (104, 0.5), (106, 0.2), (106, 0.8), (105, 0.5)
+    ]
+    monkeypatch.undo()
+    shapes = {}
+    for seed, lengths, p in calls:
+        seqs, flips = next(verify._random_blocks(seed, lengths, p))
+        assert len(seqs) == flips.shape[0] <= verify.DEFAULT_BATCH_SIZE
+        assert flips.size <= excursions._BLOCK_MAX_CELLS
+        shapes[seed, p] = flips.shape
+    # the round trip's length-1000 sequences, 2^20 // 1000 to a block
+    assert shapes[104, 0.5] == (1048, 1000)
 
 
 def test_interior_check_parses_blocks_within_the_bound(monkeypatch):
@@ -460,5 +499,5 @@ def test_interior_check_parses_blocks_within_the_bound(monkeypatch):
     monkeypatch.setattr(verify, "_parse_fault", recording)
     assert verify._check_interior_scores()[0]
     assert shapes[-2:] == [(250, 2000), (250, 2000)]
-    assert all(rows <= verify._PARSE_BLOCK_SEQS for rows, _ in shapes)
-    assert all(rows * n <= verify._PARSE_BLOCK_CELLS for rows, n in shapes)
+    assert all(rows <= verify.DEFAULT_BATCH_SIZE for rows, _ in shapes)
+    assert all(rows * n <= excursions._BLOCK_MAX_CELLS for rows, n in shapes)
