@@ -8,7 +8,8 @@ is tagged with the method that produced it:
 
   enum        exhaustive enumeration (exact)
   dp-exact    rational forward DP (exact)
-  dp-float    float forward DP (table rows above n = 4096)
+  dp-float    float forward DP (every row of a table whose --n-to passes
+              n = 4096)
   fft-float   saddle-tilted transform (dp --mode float, every n); carries
               rounding_bound
   recurrence  the fair-coin recurrence, each row rounded once (table)
@@ -48,10 +49,6 @@ def _frac(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _float_text(value: float) -> str:
-    return format(value, ".17g")
-
-
 def _json_text(value) -> str:
     """Deterministic JSON with floats at 17 significant digits."""
     if value is None:
@@ -59,7 +56,7 @@ def _json_text(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return _float_text(value)
+        return format(value, ".17g")
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
@@ -75,6 +72,14 @@ def _json_text(value) -> str:
 
 def _emit(record: dict) -> None:
     print(_json_text(record))
+
+
+def _print_csv(columns: tuple[str, ...], rows) -> None:
+    """A header of columns, then one line per row dict; rationals as num/den."""
+    print(",".join(columns))
+    for row in rows:
+        cells = (row[key] for key in columns)
+        print(",".join(_frac(v) if isinstance(v, Fraction) else _json_text(v) for v in cells))
 
 
 def _law_record(command: str, method: str, dist) -> dict:
@@ -116,36 +121,18 @@ def _cmd_mc(args) -> int:
         p=float(Fraction(args.p)),
         batch_size=args.batch_size,
     )
-    result = simulate_game(config)
-    _emit(
-        {
-            "command": "mc",
-            "method": "mc",
-            "n": result.n,
-            "p": result.p,
-            "trials": result.trials,
-            "seed": result.seed,
-            "batch_size": config.batch_size,
-            "wins_a": result.wins_a,
-            "wins_b": result.wins_b,
-            "ties": result.ties,
-            "pA": result.pA,
-            "pB": result.pB,
-            "pTie": result.pTie,
-            "stderr_a": result.stderr_a,
-            "stderr_b": result.stderr_b,
-            "stderr_tie": result.stderr_tie,
-        }
-    )
+    _emit({"command": "mc", "method": "mc", **asdict(simulate_game(config))})
     return 0
 
 
 def _cmd_renewal(args) -> int:
     table = renewal_table(args.m_from, args.m_to)
+    rows = [
+        {"m": m, "count_rx": count, "pi_exact": pi_m, "pi_float": float(pi_m)}
+        for m, count, pi_m in table.rows()
+    ]
     if args.format == "csv":
-        print("m,count_rx,pi_exact,pi_float")
-        for m, count, pi_m in table.rows():
-            print(f"{m},{count},{_frac(pi_m)},{_float_text(float(pi_m))}")
+        _print_csv(("m", "count_rx", "pi_exact", "pi_float"), rows)
         return 0
     _emit(
         {
@@ -153,15 +140,7 @@ def _cmd_renewal(args) -> int:
             "method": "renewal",
             "m_from": table.m_from,
             "m_to": table.m_to,
-            "rows": [
-                {
-                    "m": m,
-                    "count_rx": count,
-                    "pi_exact": pi_m,
-                    "pi_float": float(pi_m),
-                }
-                for m, count, pi_m in table.rows()
-            ],
+            "rows": rows,
         }
     )
     return 0
@@ -199,34 +178,37 @@ def _cmd_decompose(args) -> int:
 
 
 def _table_laws(n_from: int, n_to: int, step: int):
-    """(n, method, pA, pB, pTie, diff) at n = n_from, n_from + step, ... <= n_to.
+    """The sweep's row dicts at n = n_from, n_from + step, ... <= n_to.
 
-    One forward pass covers the whole sweep: the fair-coin recurrence, each
-    requested row rounded once from its exact counts, while in exact reach;
-    above that the float DP, which runs once to n_to and sums the sign
-    classes of the printed rows only.
+    One forward pass covers the whole sweep, and n_to picks it for every
+    row: up to DP_EXACT_MAX_N the fair-coin recurrence, each requested row
+    rounded once from its exact counts; above that the float DP, which runs
+    once to n_to and sums the sign classes of the printed rows only, so a
+    sweep that crosses DP_EXACT_MAX_N is float DP from n_from on.
     """
     if n_to <= DP_EXACT_MAX_N:
-        for n, below, equal, above in fair_scan(n_to):
-            if n >= n_from and (n - n_from) % step == 0:
-                den = 1 << n
-                yield n, "recurrence", below / den, above / den, equal / den, (above - below) / den
+        method = "recurrence"
+        laws = (
+            (n, counts, 1 << n)
+            for n, *counts in fair_scan(n_to)
+            if n >= n_from and (n - n_from) % step == 0
+        )
     else:
-        for n, h, t in _dp_float_bands(n_to, 0.5, range(n_from, n_to + 1, step)):
-            below, equal, above = _float_sign_sums(h, t, n)
-            yield n, "dp-float", below, above, equal, above - below
-
-
-def _table_rows(n_from: int, n_to: int, step: int):
-    for n, method, pA, pB, pTie, diff in _table_laws(n_from, n_to, step):
+        # the float sums are probabilities already, and x / 1 is x exactly
+        method = "dp-float"
+        laws = (
+            (n, _float_sign_sums(h, t, n), 1)
+            for n, h, t in _dp_float_bands(n_to, 0.5, range(n_from, n_to + 1, step))
+        )
+    for n, (below, equal, above), den in laws:
         report = asymptotics(n)
         yield {
             "n": n,
             "method": method,
-            "pA": pA,
-            "pB": pB,
-            "pTie": pTie,
-            "diff": diff,
+            "pA": below / den,
+            "pB": above / den,
+            "pTie": equal / den,
+            "diff": (above - below) / den,
             "tie_asym": report.tie_approx,
             "diff_asym": report.diff_approx,
         }
@@ -235,21 +217,11 @@ def _table_rows(n_from: int, n_to: int, step: int):
 def _cmd_table(args) -> int:
     if args.n_from < 1 or args.n_to < args.n_from or args.step < 1:
         raise ValueError("need 1 <= n-from <= n-to and step >= 1")
-    if args.n_to > DP_FLOAT_MAX_N:  # rows above DP_EXACT_MAX_N run the float DP
+    if args.n_to > DP_FLOAT_MAX_N:  # an n-to above DP_EXACT_MAX_N runs the float DP
         raise ValueError(f"n-to is capped at {DP_FLOAT_MAX_N}, where the O(n^2) float DP takes 2 s")
-    rows = list(_table_rows(args.n_from, args.n_to, args.step))
+    rows = list(_table_laws(args.n_from, args.n_to, args.step))
     if args.format == "csv":
-        print("n,pA,pB,pTie,diff,tie_asym,diff_asym")
-        for row in rows:
-            print(
-                ",".join(
-                    [str(row["n"])]
-                    + [
-                        _float_text(row[key])
-                        for key in ("pA", "pB", "pTie", "diff", "tie_asym", "diff_asym")
-                    ]
-                )
-            )
+        _print_csv(("n", "pA", "pB", "pTie", "diff", "tie_asym", "diff_asym"), rows)
         return 0
     _emit(
         {
@@ -273,8 +245,7 @@ def _cmd_walk(args) -> int:
 def _cmd_verify(args) -> int:
     def report(result):
         if args.json:
-            fields = ("name", "ok", "detail", "seconds")
-            print(json.dumps({k: getattr(result, k) for k in fields}), flush=True)
+            print(json.dumps(asdict(result)), flush=True)
         else:
             status = "PASS" if result.ok else "FAIL"
             print(f"{status} {result.name}: {result.detail} [{result.seconds:.2f} s]", flush=True)

@@ -59,6 +59,7 @@ class SimResult:
     p: float
     trials: int
     seed: int
+    batch_size: int
     wins_a: int
     wins_b: int
     ties: int
@@ -167,5 +168,6 @@ def simulate_game(config: SimConfig) -> SimResult:
     pb, sb = est(wins_b)
     pt, st = est(ties)
     return SimResult(
-        config.n, config.p, t, config.seed, wins_a, wins_b, ties, pa, pb, pt, sa, sb, st
+        config.n, config.p, t, config.seed, config.batch_size,
+        wins_a, wins_b, ties, pa, pb, pt, sa, sb, st,
     )

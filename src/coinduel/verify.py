@@ -167,11 +167,6 @@ def _check_bijection() -> tuple[bool, str]:
     return True, f"B_k <-> Ahat_k match for k <= 14 ({total} excursions per side)"
 
 
-def _final_sign_table(n: int) -> np.ndarray:
-    """sign(S_n) for every b in Omega_n, via independent pair popcounts."""
-    return np.concatenate([np.sign(scores) for _, scores in _omega_scores(n)])
-
-
 # the sign of S_n that each position class stands for
 _CLASS_SIGN = {
     PositionClass.B_WINNING: 1,
@@ -181,56 +176,49 @@ _CLASS_SIGN = {
 }
 
 
-def _exhaustive(n: int) -> Iterator[list[FlipSequence]]:
-    """Every sequence of length n, in order of bits, in blocks of at most
-    DEFAULT_BATCH_SIZE."""
-    size = min(1 << n, DEFAULT_BATCH_SIZE)
-    for lo in range(0, 1 << n, size):
-        yield [FlipSequence(b, n) for b in range(lo, lo + size)]
+def _exhaustive(n_max: int) -> Iterator[tuple[list[FlipSequence], np.ndarray]]:
+    """Every sequence of length 1..n_max and its flips (heads = 1), in order
+    of length, then bits; a block holds one length and at most
+    DEFAULT_BATCH_SIZE sequences."""
+    for n in range(1, n_max + 1):
+        size = min(1 << n, DEFAULT_BATCH_SIZE)
+        for lo in range(0, 1 << n, size):
+            b = np.arange(lo, lo + size, dtype=np.int32)
+            flips = ((b[:, None] >> np.arange(n, dtype=np.int32)) & 1).astype(np.uint8)
+            yield [FlipSequence(bits, n) for bits in range(lo, lo + size)], flips
 
 
-def _final_classes(n: int) -> Iterator[tuple[list[FlipSequence], list[PositionClass]]]:
-    """Every sequence of length n in blocks, with the class of its position n."""
-    for seqs in _exhaustive(n):
-        yield seqs, [position_class(d, n) for d in decompose_many(seqs)]
+def _final_classes(seqs: list[FlipSequence]) -> list[PositionClass]:
+    """The class of the last position of each sequence of a one-length block."""
+    n = seqs[0].length
+    return [position_class(d, n) for d in decompose_many(seqs)]
 
 
 def _check_position_classifier() -> tuple[bool, str]:
     checked = 0
-    for n in range(1, 17):
-        signs = _final_sign_table(n)
-        for seqs, tags in _final_classes(n):
-            lo = seqs[0].bits
-            wrong = np.flatnonzero(
-                np.fromiter(map(_CLASS_SIGN.__getitem__, tags), np.int16, len(tags))
-                != signs[lo : lo + len(seqs)]
-            )
-            if wrong.size:
-                k = int(wrong[0])
-                return False, f"{seqs[k]} -> {tags[k].value} but sign {signs[lo + k]}"
-            checked += len(seqs)
+    for seqs, flips in _exhaustive(16):
+        signs = np.sign(_levels(flips)[:, -1])
+        tags = _final_classes(seqs)
+        wrong = np.flatnonzero(
+            np.fromiter(map(_CLASS_SIGN.__getitem__, tags), np.int16, len(tags)) != signs
+        )
+        if wrong.size:
+            k = int(wrong[0])
+            return False, f"{seqs[k]} -> {tags[k].value} but sign {signs[k]}"
+        checked += len(seqs)
     return True, f"classifier matches sign(S_n) on all {checked} sequences, n <= 16"
 
 
 def _check_tie_class_mass() -> tuple[bool, str]:
-    for n in range(1, 13):
-        signs = _final_sign_table(n)
-        zero_count = int(np.count_nonzero(signs == 0))
-        class_count = sum(
-            tags.count(PositionClass.INITIAL_TAILRUN) + tags.count(PositionClass.NEUTRAL_ZERO)
-            for _, tags in _final_classes(n)
-        )
+    # a block holds one length, so equal counts in every block give them per n
+    for seqs, flips in _exhaustive(12):
+        zero_count = int(np.count_nonzero(_levels(flips)[:, -1] == 0))
+        tags = _final_classes(seqs)
+        class_count = tags.count(PositionClass.INITIAL_TAILRUN)
+        class_count += tags.count(PositionClass.NEUTRAL_ZERO)
         if class_count != zero_count:
-            return False, f"n={n}: {class_count} zero-class vs {zero_count} S_n=0"
+            return False, f"n={flips.shape[1]}: {class_count} zero-class vs {zero_count} S_n=0"
     return True, "P(S_n=0) equals the mass of the two zero classes, n <= 12"
-
-
-def _short_blocks(n_max: int):
-    """Every sequence of length 1..n_max in blocks: (sequences, their flips)."""
-    for n in range(1, n_max + 1):
-        for seqs in _exhaustive(n):
-            b = np.arange(seqs[0].bits, seqs[0].bits + len(seqs), dtype=np.int32)
-            yield seqs, ((b[:, None] >> np.arange(n, dtype=np.int32)) & 1).astype(np.uint8)
 
 
 def _levels(flips: np.ndarray) -> np.ndarray:
@@ -363,7 +351,7 @@ def _parse_fault(table: _Windows, flips: np.ndarray, levels: np.ndarray) -> tupl
 
 
 def _check_round_trip() -> tuple[bool, str]:
-    for seqs, flips in _short_blocks(16):
+    for seqs, flips in _exhaustive(16):
         levels = _levels(flips)
         series = np.fromiter(chain.from_iterable(map(score_series, seqs)), levels.dtype, levels.size)
         differs = (series.reshape(levels.shape) != levels).any(axis=1)
@@ -398,7 +386,7 @@ def _check_interior_scores() -> tuple[bool, str]:
     count, length, short = 250, 2000, 8
     lengths = np.full(count, length)
     biased = ((p, *b) for p in (0.2, 0.8) for b in _random_blocks(106, lengths, p))
-    blocks = chain(((None, *b) for b in _short_blocks(short)), biased)
+    blocks = chain(((None, *b) for b in _exhaustive(short)), biased)
     windows = wide = 0
     for p, seqs, flips in blocks:
         levels = _levels(flips)
@@ -486,22 +474,15 @@ def _holds(parse: Decomposition, seq: FlipSequence) -> bool:
 def _check_parser_equivalence() -> tuple[bool, str]:
     # each sequence is parsed three ways: in a block, alone, and flip by flip;
     # the slots of the first two hold the parsed sequence itself, not a copy
-    for n in range(1, 13):
-        for seqs in _exhaustive(n):
-            for seq, parse in zip(seqs, decompose_many(seqs)):
-                alone = decompose(seq)
-                if not parse == alone == _decompose_reference(seq):
-                    return False, f"parsers disagree at {seq}"
-                if not (_holds(parse, seq) and _holds(alone, seq)):
-                    return False, f"a slot's source is not the parsed sequence at {seq}"
     trials = 2000
-    seqs = list(_random_sequences(105, _substream(105).integers(240, 521, trials)))
-    for seq, parse in zip(seqs, decompose_many(seqs)):
-        alone = decompose(seq)
-        if not parse == alone == _decompose_reference(seq):
-            return False, f"parsers disagree on a length-{seq.length} sequence"
-        if not (_holds(parse, seq) and _holds(alone, seq)):
-            return False, f"a slot's source is not the parsed length-{seq.length} sequence"
+    randoms = _random_blocks(105, _substream(105).integers(240, 521, trials))
+    for seqs, _ in chain(_exhaustive(12), randoms):
+        for seq, parse in zip(seqs, decompose_many(seqs)):
+            alone = decompose(seq)
+            if not parse == alone == _decompose_reference(seq):
+                return False, f"parsers disagree at {seq}"
+            if not (_holds(parse, seq) and _holds(alone, seq)):
+                return False, f"a slot's source is not the parsed sequence at {seq}"
     return True, (
         f"decompose equals the flip-by-flip reference, exhaustive to length 12 "
         f"plus {trials} random sequences"

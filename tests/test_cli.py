@@ -91,6 +91,19 @@ class TestSemantics:
         doc = json.loads(golden("mc_n3_t1000_s7.json"))
         assert doc["wins_a"] + doc["wins_b"] + doc["ties"] == doc["trials"]
 
+    def test_mc_passes_batch_size_through(self, capsys):
+        from coinduel.cli import dispatch
+
+        args = ["mc", "--n", "20", "--trials", "10000", "--seed", "7"]
+        assert dispatch(args) == 0
+        default = capsys.readouterr().out
+        assert dispatch(args + ["--batch-size", "1000"]) == 0
+        batched = capsys.readouterr().out
+        assert '"batch_size":4096' in default
+        assert '"batch_size":1000' in batched
+        counts = ("wins_a", "wins_b", "ties")
+        assert [json.loads(default)[k] for k in counts] != [json.loads(batched)[k] for k in counts]
+
     def test_mc_p_takes_a_fraction_like_dp(self):
         args = ("mc", "--n", "3", "--trials", "1000", "--seed", "7", "--p")
         assert run_cli(*args, "1/2").stdout == run_cli(*args, "0.5").stdout
@@ -170,7 +183,9 @@ class TestSemantics:
         from coinduel.cli import dispatch
 
         keys = ("pA", "pB", "pTie", "diff")
-        for n_from, n_to, step in ((4097, 4097, 1), (4097, 4500, 101), (4100, 4100, 1)):
+        # a sweep that crosses n = 4096 is float DP on every row, n_from's too
+        cases = ((4097, 4097, 1), (4097, 4500, 101), (4100, 4100, 1), (4000, 4200, 100))
+        for n_from, n_to, step in cases:
             series = coinduel.dp_float_series(n_to)
             wanted = list(range(n_from, n_to + 1, step))
             args = ["table", "--n-from", str(n_from), "--n-to", str(n_to), "--step", str(step)]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from coinduel import SimConfig, SimResult, dp_distribution, simulate_game
+from coinduel import DEFAULT_BATCH_SIZE, SimConfig, SimResult, dp_distribution, simulate_game
 from coinduel.montecarlo import _bernoulli_words, _pair_scores, _substream
 
 
@@ -23,8 +23,9 @@ class TestBasics:
         assert r.pA + r.pB + r.pTie == pytest.approx(1.0, abs=1e-12)
 
     def test_result_echoes_config(self):
-        r = run(7, 100, 5, p=0.3)
-        assert (r.n, r.p, r.trials, r.seed) == (7, 0.3, 100, 5)
+        r = run(7, 100, 5, p=0.3, batch_size=64)
+        assert (r.n, r.p, r.trials, r.seed, r.batch_size) == (7, 0.3, 100, 5, 64)
+        assert run(7, 100, 5).batch_size == DEFAULT_BATCH_SIZE
 
 
 class TestReproducibility:

@@ -446,6 +446,25 @@ def test_sampler_is_seeded():
     assert first != [seqs for seqs, _ in _drawn(103, lengths)]
 
 
+def test_exhaustive_blocks_run_by_length_then_bits():
+    # one block per length to 12, then 2^(n - 12) blocks of DEFAULT_BATCH_SIZE
+    blocks = list(verify._exhaustive(16))
+    assert [flips.shape[1] for _, flips in blocks] == [
+        *range(1, 13), *[13] * 2, *[14] * 4, *[15] * 8, *[16] * 16
+    ]
+    assert [(s.length, s.bits) for seqs, _ in blocks for s in seqs] == [
+        (n, b) for n in range(1, 17) for b in range(1 << n)
+    ]
+    for seqs, flips in blocks:
+        assert flips.shape == (len(seqs), seqs[0].length) and flips.dtype == np.uint8
+        assert len(seqs) <= verify.DEFAULT_BATCH_SIZE
+        assert {s.length for s in seqs} == {flips.shape[1]}
+        packed = np.packbits(flips, axis=1, bitorder="little")
+        assert [int.from_bytes(row.tobytes(), "little") for row in packed] == [
+            s.bits for s in seqs
+        ]
+
+
 @pytest.mark.parametrize("length", [3, 300, 1000, 2000])
 def test_parse_check_blocks_keep_their_bound(length):
     # a block holds DEFAULT_BATCH_SIZE rows, or fewer where its cells would
