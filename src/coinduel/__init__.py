@@ -53,19 +53,17 @@ from .excursions import (
     enumerate_excursions,
     position_class,
 )
-from .montecarlo import DEFAULT_BATCH_SIZE, SimConfig, SimResult, simulate_game
+from .montecarlo import BATCH_SIZE, SimConfig, SimResult, WalkReport, simulate_game, tailwalk
 from .renewal import (
     ASYMPTOTIC_C,
     AsymptoticReport,
     RenewalTable,
-    WalkReport,
     asymptotics,
     count_rx,
     jump_mean_truncated,
     pi,
     renewal_diff,
     renewal_table,
-    tailwalk,
 )
 from .verify import InvariantResult, run_all
 

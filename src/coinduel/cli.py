@@ -40,8 +40,8 @@ from .exact import (
 )
 from .excursions import decompose
 from .core import parse_sequence
-from .montecarlo import DEFAULT_BATCH_SIZE, SimConfig, simulate_game
-from .renewal import asymptotics, fair_scan, renewal_diff, renewal_table, tailwalk
+from .montecarlo import SimConfig, simulate_game, tailwalk
+from .renewal import asymptotics, fair_scan, renewal_diff, renewal_table
 from .verify import run_all
 
 
@@ -114,13 +114,7 @@ def _cmd_dp(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    config = SimConfig(
-        n=args.n,
-        trials=args.trials,
-        seed=args.seed,
-        p=float(Fraction(args.p)),
-        batch_size=args.batch_size,
-    )
+    config = SimConfig(n=args.n, trials=args.trials, seed=args.seed, p=float(Fraction(args.p)))
     _emit({"command": "mc", "method": "mc", **asdict(simulate_game(config))})
     return 0
 
@@ -283,7 +277,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trials", type=int, required=True)
     s.add_argument("--seed", type=int, required=True)
     s.add_argument("--p", default="1/2")
-    s.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE)
     s.set_defaults(handler=_cmd_mc)
 
     s = sub.add_parser("renewal", help="count_rx and pi over an m-range")

@@ -42,7 +42,7 @@ import numpy as np
 
 from .core import FlipSequence, reverse
 from .exact import _omega_scores
-from .montecarlo import _flip_blocks
+from .montecarlo import BATCH_SIZE, _flip_blocks
 
 EXCURSION_ENUM_CAP = 24
 
@@ -432,7 +432,6 @@ class CoupledDiffEstimate:
     n: int
     trials: int
     seed: int
-    batch_size: int
     hits: int
     estimate: float
     stderr: float
@@ -491,31 +490,25 @@ def _lookup_table(width: int) -> np.ndarray:
     return table
 
 
-def coupled_diff_mc(
-    n: int, trials: int, seed: int, batch_size: int = 1 << 16
-) -> CoupledDiffEstimate:
+def coupled_diff_mc(n: int, trials: int, seed: int) -> CoupledDiffEstimate:
     """Estimate pB - pA by sampling the coupled construction directly.
 
     Each trial plays the renewal parse of a fresh fair stream with every
     window in A-hat form and scores the indicator of the winning gap event;
-    the estimate is half the hit rate.  The trials read the fair blocks of
-    `simulate_game` (montecarlo's reproducibility contract at p = 1/2): flip
-    i of a trial is position i + 1, and the pinned position after a renewal
-    head ignores its flip.  batch_size defaults to 2^16 here but to 4096
-    (DEFAULT_BATCH_SIZE) in `simulate_game`, so with their defaults the two
-    read different fair blocks.  Every trial of a block moves through the
-    states of _step together, eight flips per table lookup (see
-    _lookup_table).
+    the estimate is half the hit rate.  The trials read the fair blocks that
+    `simulate_game` reads for the same (n, trials, seed) at p = 1/2
+    (montecarlo's reproducibility contract): flip i of a trial is position
+    i + 1, and the pinned position after a renewal head ignores its flip.
+    Every trial of a block moves through the states of _step together,
+    eight flips per table lookup (see _lookup_table).
     """
     if n < 3:
         raise ValueError("n must be >= 3")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
     full, tail = _lookup_table(8), _lookup_table(n % 8)
     hits = 0
-    for words in _flip_blocks(n, 0.5, trials, seed, batch_size):
+    for words in _flip_blocks(n, 0.5, trials, seed, BATCH_SIZE):
         rows = words.shape[1]
         # byte k of word w holds flips 64w + 8k ..; row 8w + k of flips8
         flips8 = words.astype("<u8", copy=False).view(np.uint8).reshape(-1, rows, 8)
@@ -537,4 +530,4 @@ def coupled_diff_mc(
     rate = hits / trials
     estimate = 0.5 * rate
     stderr = 0.5 * math.sqrt(rate * (1.0 - rate) / trials)
-    return CoupledDiffEstimate(n, trials, seed, batch_size, hits, estimate, stderr)
+    return CoupledDiffEstimate(n, trials, seed, hits, estimate, stderr)

@@ -1,6 +1,8 @@
-"""Direct simulation of the n-flip game with reproducible seeding.
+"""Direct simulation of the n-flip game with reproducible seeding, and the
+tail-indexed walk.
 
-Reproducibility contract: batch b of a run draws from
+Reproducibility contract: a run's games are split into batches of
+BATCH_SIZE, and batch b draws from
 PCG64(SeedSequence(entropy=seed, spawn_key=(b,))). A batch is split into
 blocks of max(1, _MAX_BLOCK_CELLS // n) games. A block of m games holds its
 flips in ceil(n / 64) * m uint64 words, position-major: flip i of game g is
@@ -9,9 +11,10 @@ drawn in rounds, each reading up to _DIGITS_PER_ROUND binary digits of p: a
 round of k digits draws k raw PCG64 words for every word that still has an
 open lane at its start, digit by digit and, within a digit, in word order
 (`_bernoulli_words`). At p = 1/2, which has one digit, that is one raw word
-per word. The coupled estimator (`excursions.coupled_diff_mc`) reads the
-same fair blocks. So results depend only on (n, p, trials, seed,
-batch_size) and are identical across platforms.
+per word. So results depend only on (n, p, trials, seed) and are identical
+across platforms, and the coupled estimator (`excursions.coupled_diff_mc`)
+reads the same fair blocks as `simulate_game`. The tail walk draws from the
+single stream PCG64(SeedSequence(entropy=seed)).
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
-DEFAULT_BATCH_SIZE = 4096
+# games per seeded substream
+BATCH_SIZE = 4096
 
 # inner generation block, to keep per-call memory flat for large n
 _MAX_BLOCK_CELLS = 1 << 22
@@ -40,7 +44,6 @@ class SimConfig:
     trials: int
     seed: int
     p: float = 0.5
-    batch_size: int = DEFAULT_BATCH_SIZE
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -49,8 +52,6 @@ class SimConfig:
             raise ValueError("trials must be >= 1")
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p must satisfy 0 < p < 1, got {self.p}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,6 @@ class SimResult:
     p: float
     trials: int
     seed: int
-    batch_size: int
     wins_a: int
     wins_b: int
     ties: int
@@ -153,7 +153,7 @@ def _flip_blocks(
 def simulate_game(config: SimConfig) -> SimResult:
     """Play config.trials independent games and classify the final score."""
     wins_a = wins_b = ties = 0
-    for words in _flip_blocks(config.n, config.p, config.trials, config.seed, config.batch_size):
+    for words in _flip_blocks(config.n, config.p, config.trials, config.seed, BATCH_SIZE):
         scores = _pair_scores(words, config.n)
         wins_a += int(np.count_nonzero(scores < 0))
         wins_b += int(np.count_nonzero(scores > 0))
@@ -168,6 +168,41 @@ def simulate_game(config: SimConfig) -> SimResult:
     pb, sb = est(wins_b)
     pt, st = est(ties)
     return SimResult(
-        config.n, config.p, t, config.seed, config.batch_size,
-        wins_a, wins_b, ties, pa, pb, pt, sa, sb, st,
+        config.n, config.p, t, config.seed, wins_a, wins_b, ties, pa, pb, pt, sa, sb, st
     )
+
+
+@dataclass(frozen=True)
+class WalkReport:
+    steps: int
+    seed: int
+    zero_hits: int
+    sample_mean_jump: float
+
+
+# steps of the tail walk drawn at a time, so memory stays flat in steps
+_WALK_BLOCK = 1 << 16
+
+
+def tailwalk(steps: int, seed: int) -> WalkReport:
+    """Simulate the walk sampled at tail appearances.
+
+    Each step draws the following headrun length R (P(R=r) = (1/2)^(r+1),
+    r >= 0) and jumps by 2-R when R >= 1, else stays.  The jump law has
+    mean 0 and variance 1, and the walk returns to 0 infinitely often.
+    The run lengths are drawn _WALK_BLOCK at a time from one stream, which
+    gives the same draws as drawing all of them at once.
+    """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    rng = _substream(seed)
+    level = zero_hits = 0  # the walk's level is the exact sum of its jumps
+    for start in range(0, steps, _WALK_BLOCK):
+        runs = rng.geometric(0.5, size=min(_WALK_BLOCK, steps - start)) - 1
+        walk = np.cumsum(np.where(runs >= 1, 2 - runs, 0))
+        walk += level
+        zero_hits += int(np.count_nonzero(walk == 0))
+        level = int(walk[-1])
+    # the jumps are small integers, so their float64 sum is exact and this
+    # is the mean numpy takes of the whole jump array
+    return WalkReport(steps, seed, zero_hits, level / steps)

@@ -49,7 +49,7 @@ from .excursions import (
     _window_table,
     _Windows,
 )
-from .montecarlo import DEFAULT_BATCH_SIZE, SimConfig, _flip_blocks, _substream, simulate_game
+from .montecarlo import BATCH_SIZE, SimConfig, _flip_blocks, _substream, simulate_game
 from .renewal import ASYMPTOTIC_C, asymptotics, count_rx, fair_scan, pi, renewal_diff
 
 _Check = Callable[[], tuple[bool, str]]
@@ -71,12 +71,12 @@ def _random_blocks(
     Sequence g is game g of the simulator's `_flip_blocks(max(lengths), p,
     len(lengths), seed, batch)` cut to lengths[g] flips.  Its flip row
     holds those flips (heads = 1), then zeros up to max(lengths).  A batch,
-    and so a block, holds DEFAULT_BATCH_SIZE sequences, or as many as keep
-    its flip rows within the parse's _BLOCK_MAX_CELLS if that is fewer.
+    and so a block, holds BATCH_SIZE sequences, or as many as keep its flip
+    rows within the parse's _BLOCK_MAX_CELLS if that is fewer.
     """
     n = int(lengths.max())
     width = (n + 7) // 8
-    batch = max(1, min(DEFAULT_BATCH_SIZE, _BLOCK_MAX_CELLS // n))
+    batch = max(1, min(BATCH_SIZE, _BLOCK_MAX_CELLS // n))
     done = 0
     for words in _flip_blocks(n, p, len(lengths), seed, batch):
         rows = lengths[done : done + words.shape[1]]
@@ -178,10 +178,10 @@ _CLASS_SIGN = {
 
 def _exhaustive(n_max: int) -> Iterator[tuple[list[FlipSequence], np.ndarray]]:
     """Every sequence of length 1..n_max and its flips (heads = 1), in order
-    of length, then bits; a block holds one length and at most
-    DEFAULT_BATCH_SIZE sequences."""
+    of length, then bits; a block holds one length and at most BATCH_SIZE
+    sequences."""
     for n in range(1, n_max + 1):
-        size = min(1 << n, DEFAULT_BATCH_SIZE)
+        size = min(1 << n, BATCH_SIZE)
         for lo in range(0, 1 << n, size):
             b = np.arange(lo, lo + size, dtype=np.int32)
             flips = ((b[:, None] >> np.arange(n, dtype=np.int32)) & 1).astype(np.uint8)

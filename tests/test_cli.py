@@ -6,6 +6,7 @@ frozen after the values were verified against the library oracles; the
 byte-equality tests pin both the numbers and the serialization format.
 """
 
+import argparse
 import json
 import re
 import shlex
@@ -90,19 +91,6 @@ class TestSemantics:
     def test_mc_counts_partition(self):
         doc = json.loads(golden("mc_n3_t1000_s7.json"))
         assert doc["wins_a"] + doc["wins_b"] + doc["ties"] == doc["trials"]
-
-    def test_mc_passes_batch_size_through(self, capsys):
-        from coinduel.cli import dispatch
-
-        args = ["mc", "--n", "20", "--trials", "10000", "--seed", "7"]
-        assert dispatch(args) == 0
-        default = capsys.readouterr().out
-        assert dispatch(args + ["--batch-size", "1000"]) == 0
-        batched = capsys.readouterr().out
-        assert '"batch_size":4096' in default
-        assert '"batch_size":1000' in batched
-        counts = ("wins_a", "wins_b", "ties")
-        assert [json.loads(default)[k] for k in counts] != [json.loads(batched)[k] for k in counts]
 
     def test_mc_p_takes_a_fraction_like_dp(self):
         args = ("mc", "--n", "3", "--trials", "1000", "--seed", "7", "--p")
@@ -257,9 +245,35 @@ def readme_examples():
 README_EXAMPLES = readme_examples()
 
 
+def readme_synopses() -> dict[str, set[str]]:
+    """{subcommand: its --flags} from each entry under README.md's
+    `### Subcommands`."""
+    section = README.read_text().split("### Subcommands", 1)[1].split("\n## ", 1)[0]
+    entries = re.findall(r"^- `([a-z]+)([^`]*)`", section, flags=re.MULTILINE)
+    return {name: set(re.findall(r"--[a-z][a-z-]*", synopsis)) for name, synopsis in entries}
+
+
 class TestReadme:
     def test_examples_are_found(self):
         assert len(README_EXAMPLES) >= 5
+
+    def test_subcommand_synopses_match_parser(self):
+        from coinduel.cli import _build_parser
+
+        (subcommands,) = [
+            action for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        flags = {
+            name: {
+                option
+                for action in parser._actions
+                for option in action.option_strings
+                if option.startswith("--") and option != "--help"
+            }
+            for name, parser in subcommands.choices.items()
+        }
+        assert readme_synopses() == flags
 
     @pytest.mark.parametrize("command,shown", README_EXAMPLES, ids=[c for c, _ in README_EXAMPLES])
     def test_example_output_is_current(self, command, shown, capsys):
@@ -302,6 +316,8 @@ class TestExitCodes:
     def test_usage_error_is_two(self):
         assert run_cli("frobnicate", check=False).returncode == 2
         assert run_cli("dp", check=False).returncode == 2
+        mc = ("mc", "--n", "3", "--trials", "10", "--seed", "1")
+        assert run_cli(*mc, "--batch-size", "10", check=False).returncode == 2
 
     def test_diff_below_three_is_one(self):
         proc = run_cli("diff", "--n", "2", "--method", "renewal", check=False)

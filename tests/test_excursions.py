@@ -29,8 +29,10 @@ from coinduel import (
 from coinduel import excursions
 from coinduel.montecarlo import (
     _MAX_BLOCK_CELLS,
+    BATCH_SIZE,
     SimConfig,
     _bernoulli_words,
+    _pair_scores,
     _substream,
     simulate_game,
 )
@@ -597,48 +599,81 @@ def coupled_rule(code: np.ndarray, flip: np.ndarray) -> np.ndarray:
     )
 
 
-def reference_hits(n: int, trials: int, seed: int, batch_size: int) -> int:
-    """coupled_trial over the fair blocks of montecarlo's reproducibility contract."""
+def contract_blocks(n: int, trials: int, seed: int) -> list[np.ndarray]:
+    """The fair blocks of montecarlo's reproducibility contract, rebuilt: a
+    substream per BATCH_SIZE games, split into blocks of _MAX_BLOCK_CELLS // n
+    games, each a (ceil(n / 64), games) array of _bernoulli_words."""
     block = max(1, _MAX_BLOCK_CELLS // n)
     width = -(-n // 64)
-    hits = 0
-    for batch, first in enumerate(range(0, trials, batch_size)):
+    blocks = []
+    for batch, first in enumerate(range(0, trials, BATCH_SIZE)):
         rng = _substream(seed, batch)
-        games = min(batch_size, trials - first)
+        games = min(BATCH_SIZE, trials - first)
         for start in range(0, games, block):
             rows = min(block, games - start)
-            words = _bernoulli_words(rng, width * rows, 0.5).reshape(width, rows)
-            data = np.ascontiguousarray(words.T, dtype="<u8").tobytes()
-            for i in range(0, len(data), 8 * width):
-                hits += coupled_trial(int.from_bytes(data[i : i + 8 * width], "little"), n)
+            blocks.append(_bernoulli_words(rng, width * rows, 0.5).reshape(width, rows))
+    return blocks
+
+
+def reference_hits(n: int, blocks: list[np.ndarray]) -> int:
+    """coupled_trial over every game of the given fair blocks."""
+    hits = 0
+    for words in blocks:
+        data = np.ascontiguousarray(words.T, dtype="<u8").tobytes()
+        step = 8 * len(words)
+        for i in range(0, len(data), step):
+            hits += coupled_trial(int.from_bytes(data[i : i + step], "little"), n)
     return hits
 
 
 class TestCoupledDiffMC:
     @pytest.mark.parametrize(
-        "n,trials,seed,batch_size",
+        "n,trials,seed",
         [
-            (3, 1000, 1, 1 << 16),
-            (5, 3000, 2, 100),
-            (7, 5000, 77, 1 << 16),
-            (31, 7000, 5, 999),
-            (50, 2 * 10**4, 9, 1 << 16),
-            (200, 5000, 11, 1 << 16),
-            # two blocks of montecarlo._MAX_BLOCK_CELLS // n games
-            (1000, 4500, 3, 1 << 16),
-            (1001, 4500, 4, 1 << 16),
+            (3, 1000, 1),
+            (5, 3000, 2),
+            (7, 5000, 77),
+            (31, 7000, 5),
+            (50, 2 * 10**4, 9),
+            (200, 5000, 11),
+            # two batches, the second of fewer games than the first
+            (1000, 4500, 3),
+            (1001, 4500, 4),
             # n % 8 = 4 and 6: the tail tables of 4 and 6 flips
-            (12, 3000, 14, 1 << 16),
-            (30, 3000, 15, 1 << 16),
+            (12, 3000, 14),
+            (30, 3000, 15),
             # long games, where most lookups read the depth >= 5 rows; the
             # second sees 2 hits
-            (1023, 3000, 12, 1 << 16),
-            (16383, 900, 13, 1 << 16),
+            (1023, 3000, 12),
+            (16383, 900, 13),
         ],
     )
-    def test_hits_match_reference_trials(self, n, trials, seed, batch_size):
-        est = coupled_diff_mc(n, trials, seed, batch_size)
-        assert est.hits == reference_hits(n, trials, seed, batch_size)
+    def test_hits_match_reference_trials(self, n, trials, seed):
+        est = coupled_diff_mc(n, trials, seed)
+        assert est.hits == reference_hits(n, contract_blocks(n, trials, seed))
+
+    @pytest.mark.parametrize(
+        "n,trials,seed,games",
+        [
+            # four batches, the last of 7 games
+            (20, 3 * BATCH_SIZE + 7, 21, [BATCH_SIZE] * 3 + [7]),
+            # n > 1024: each full batch splits into blocks of
+            # _MAX_BLOCK_CELLS // n = 3813 games
+            (1100, 2 * BATCH_SIZE + 50, 22, [3813, 283, 3813, 283, 50]),
+        ],
+        ids=["four-batches", "split-batches"],
+    )
+    def test_shares_fair_blocks_with_simulate_game(self, n, trials, seed, games):
+        # the contract: both estimators read the same words, which depend
+        # only on (n, trials, seed); the direct game scores them by pairs,
+        # the coupled one walks each game's renewal parse
+        blocks = contract_blocks(n, trials, seed)
+        assert [words.shape[1] for words in blocks] == games
+        scores = np.concatenate([_pair_scores(words, n) for words in blocks])
+        direct = simulate_game(SimConfig(n=n, trials=trials, seed=seed))
+        counts = [int(np.count_nonzero(op(scores, 0))) for op in (np.less, np.greater, np.equal)]
+        assert [direct.wins_a, direct.wins_b, direct.ties] == counts
+        assert coupled_diff_mc(n, trials, seed).hits == reference_hits(n, blocks)
 
     def test_beats_direct_simulation(self):
         # the paper's case for the coupling: at n = 50 its standard error for

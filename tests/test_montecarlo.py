@@ -1,10 +1,11 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from coinduel import DEFAULT_BATCH_SIZE, SimConfig, SimResult, dp_distribution, simulate_game
-from coinduel.montecarlo import _bernoulli_words, _pair_scores, _substream
+from coinduel import SimConfig, WalkReport, dp_distribution, simulate_game, tailwalk
+from coinduel.montecarlo import _WALK_BLOCK, _bernoulli_words, _pair_scores, _substream
 
 
 def run(n, trials, seed, **kw):
@@ -23,9 +24,8 @@ class TestBasics:
         assert r.pA + r.pB + r.pTie == pytest.approx(1.0, abs=1e-12)
 
     def test_result_echoes_config(self):
-        r = run(7, 100, 5, p=0.3, batch_size=64)
-        assert (r.n, r.p, r.trials, r.seed, r.batch_size) == (7, 0.3, 100, 5, 64)
-        assert run(7, 100, 5).batch_size == DEFAULT_BATCH_SIZE
+        r = run(7, 100, 5, p=0.3)
+        assert (r.n, r.p, r.trials, r.seed) == (7, 0.3, 100, 5)
 
 
 class TestReproducibility:
@@ -34,13 +34,6 @@ class TestReproducibility:
 
     def test_different_seeds_differ(self):
         assert run(50, 20000, 1) != run(50, 20000, 2)
-
-    def test_batch_size_changes_stream(self):
-        # substreams are keyed by batch index, so the partition matters;
-        # this is part of the contract, not an accident
-        a = run(20, 10000, 7, batch_size=4096)
-        b = run(20, 10000, 7, batch_size=1000)
-        assert a != b
 
 
 class TestCalibration:
@@ -152,7 +145,7 @@ class TestValidation:
             dict(n=5, trials=0, seed=1),
             dict(n=5, trials=10, seed=1, p=0.0),
             dict(n=5, trials=10, seed=1, p=1.0),
-            dict(n=5, trials=10, seed=1, batch_size=0),
+            dict(n=5, trials=10, seed=1, p=math.nan),
         ],
     )
     def test_bad_config(self, kw):
@@ -163,3 +156,35 @@ class TestValidation:
         r = run(3, 10, 1)
         with pytest.raises(AttributeError):
             r.pA = 0.5
+
+
+class TestTailWalk:
+    def test_deterministic(self):
+        assert tailwalk(10**4, 42) == tailwalk(10**4, 42)
+
+    def test_seed_changes_output(self):
+        assert tailwalk(10**4, 1) != tailwalk(10**4, 2)
+
+    def test_returns_to_zero(self):
+        for seed in (0, 1, 2):
+            assert tailwalk(10**6, seed).zero_hits >= 1
+
+    def test_mean_jump_within_clt_band(self):
+        # jump variance is 1, so the sample mean at 10^6 steps has SE 1e-3
+        report = tailwalk(10**6, 7)
+        assert abs(report.sample_mean_jump) <= 5e-3
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            tailwalk(0, 1)
+
+    @pytest.mark.parametrize(
+        "steps", [1, _WALK_BLOCK - 1, _WALK_BLOCK, _WALK_BLOCK + 1, 2 * _WALK_BLOCK + 1]
+    )
+    def test_blocks_match_one_draw(self, steps):
+        # the whole walk from one draw of every run length, as it was computed
+        # before the walk went block by block
+        runs = _substream(5).geometric(0.5, size=steps) - 1
+        jumps = np.where(runs >= 1, 2 - runs, 0)
+        zero_hits = int(np.count_nonzero(np.cumsum(jumps) == 0))
+        assert tailwalk(steps, 5) == WalkReport(steps, 5, zero_hits, float(jumps.mean()))

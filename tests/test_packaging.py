@@ -8,17 +8,26 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def imported_top_level_modules(package: Path) -> set[str]:
-    """Top-level names of every absolute import in the package, including
-    imports made inside functions."""
+def imported_modules(path: Path) -> set[str]:
+    """Every module a source file imports, including imports made inside
+    functions; a relative import keeps its leading dots, as in ".core"."""
     names = set()
-    for path in package.rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                names.update(alias.name.split(".")[0] for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names.add(node.module.split(".")[0])
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("." * node.level + (node.module or ""))
     return names
+
+
+def imported_top_level_modules(package: Path) -> set[str]:
+    """Top-level names of every absolute import in the package."""
+    return {
+        name.split(".")[0]
+        for path in package.rglob("*.py")
+        for name in imported_modules(path)
+        if not name.startswith(".")
+    }
 
 
 def test_dependencies_match_third_party_imports():
@@ -32,3 +41,17 @@ def test_dependencies_match_third_party_imports():
         if name not in sys.stdlib_module_names and name != "coinduel"
     }
     assert declared == third_party
+
+
+def test_renewal_imports_only_the_standard_library():
+    # the renewal counts and laws are exact integer and rational arithmetic:
+    # no numpy, and no sibling module such as the simulator
+    assert imported_modules(ROOT / "src" / "coinduel" / "renewal.py") == {
+        "__future__",
+        "dataclasses",
+        "fractions",
+        "functools",
+        "itertools",
+        "math",
+        "typing",
+    }

@@ -2,7 +2,6 @@ import itertools
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from coinduel import (
@@ -15,13 +14,9 @@ from coinduel import (
     pi,
     renewal_diff,
     renewal_table,
-    tailwalk,
 )
 from coinduel.exact import _dp_scan
-from coinduel.montecarlo import _substream
 from coinduel.renewal import (
-    _WALK_BLOCK,
-    WalkReport,
     _count_rx_terms,
     _pi_float_terms,
     _tie_terms,
@@ -228,38 +223,6 @@ class TestAsymptotics:
     def test_to_dict_keys(self):
         d = asymptotics(10).to_dict()
         assert set(d) == {"n", "c", "diff_approx", "tie_approx", "deficit_B", "deficit_A"}
-
-
-class TestTailWalk:
-    def test_deterministic(self):
-        assert tailwalk(10**4, 42) == tailwalk(10**4, 42)
-
-    def test_seed_changes_output(self):
-        assert tailwalk(10**4, 1) != tailwalk(10**4, 2)
-
-    def test_returns_to_zero(self):
-        for seed in (0, 1, 2):
-            assert tailwalk(10**6, seed).zero_hits >= 1
-
-    def test_mean_jump_within_clt_band(self):
-        # jump variance is 1, so the sample mean at 10^6 steps has SE 1e-3
-        report = tailwalk(10**6, 7)
-        assert abs(report.sample_mean_jump) <= 5e-3
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            tailwalk(0, 1)
-
-    @pytest.mark.parametrize(
-        "steps", [1, _WALK_BLOCK - 1, _WALK_BLOCK, _WALK_BLOCK + 1, 2 * _WALK_BLOCK + 1]
-    )
-    def test_blocks_match_one_draw(self, steps):
-        # the whole walk from one draw of every run length, as it was computed
-        # before the walk went block by block
-        runs = _substream(5).geometric(0.5, size=steps) - 1
-        jumps = np.where(runs >= 1, 2 - runs, 0)
-        zero_hits = int(np.count_nonzero(np.cumsum(jumps) == 0))
-        assert tailwalk(steps, 5) == WalkReport(steps, 5, zero_hits, float(jumps.mean()))
 
 
 class TestJumpMean:

@@ -447,7 +447,7 @@ def test_sampler_is_seeded():
 
 
 def test_exhaustive_blocks_run_by_length_then_bits():
-    # one block per length to 12, then 2^(n - 12) blocks of DEFAULT_BATCH_SIZE
+    # one block per length to 12, then 2^(n - 12) blocks of BATCH_SIZE
     blocks = list(verify._exhaustive(16))
     assert [flips.shape[1] for _, flips in blocks] == [
         *range(1, 13), *[13] * 2, *[14] * 4, *[15] * 8, *[16] * 16
@@ -457,7 +457,7 @@ def test_exhaustive_blocks_run_by_length_then_bits():
     ]
     for seqs, flips in blocks:
         assert flips.shape == (len(seqs), seqs[0].length) and flips.dtype == np.uint8
-        assert len(seqs) <= verify.DEFAULT_BATCH_SIZE
+        assert len(seqs) <= verify.BATCH_SIZE
         assert {s.length for s in seqs} == {flips.shape[1]}
         packed = np.packbits(flips, axis=1, bitorder="little")
         assert [int.from_bytes(row.tobytes(), "little") for row in packed] == [
@@ -467,14 +467,14 @@ def test_exhaustive_blocks_run_by_length_then_bits():
 
 @pytest.mark.parametrize("length", [3, 300, 1000, 2000])
 def test_parse_check_blocks_keep_their_bound(length):
-    # a block holds DEFAULT_BATCH_SIZE rows, or fewer where its cells would
-    # pass the parse's bound
-    batch = min(verify.DEFAULT_BATCH_SIZE, excursions._BLOCK_MAX_CELLS // length)
+    # a block holds BATCH_SIZE rows, or fewer where its cells would pass the
+    # parse's bound
+    batch = min(verify.BATCH_SIZE, excursions._BLOCK_MAX_CELLS // length)
     blocks = _drawn(1, np.full(2 * batch + 1, length))
     assert [len(seqs) for seqs, _ in blocks] == [batch, batch, 1]
     for seqs, flips in blocks:
         assert flips.shape == (len(seqs), length)
-        assert len(seqs) <= verify.DEFAULT_BATCH_SIZE
+        assert len(seqs) <= verify.BATCH_SIZE
         assert flips.size <= excursions._BLOCK_MAX_CELLS
 
 
@@ -500,7 +500,7 @@ def test_every_registry_draw_keeps_the_block_bounds(monkeypatch):
     shapes = {}
     for seed, lengths, p in calls:
         seqs, flips = next(verify._random_blocks(seed, lengths, p))
-        assert len(seqs) == flips.shape[0] <= verify.DEFAULT_BATCH_SIZE
+        assert len(seqs) == flips.shape[0] <= verify.BATCH_SIZE
         assert flips.size <= excursions._BLOCK_MAX_CELLS
         shapes[seed, p] = flips.shape
     # the round trip's length-1000 sequences, 2^20 // 1000 to a block
@@ -518,5 +518,5 @@ def test_interior_check_parses_blocks_within_the_bound(monkeypatch):
     monkeypatch.setattr(verify, "_parse_fault", recording)
     assert verify._check_interior_scores()[0]
     assert shapes[-2:] == [(250, 2000), (250, 2000)]
-    assert all(rows <= verify.DEFAULT_BATCH_SIZE for rows, _ in shapes)
+    assert all(rows <= verify.BATCH_SIZE for rows, _ in shapes)
     assert all(rows * n <= excursions._BLOCK_MAX_CELLS for rows, n in shapes)
