@@ -42,7 +42,7 @@ import numpy as np
 
 from .core import FlipSequence, reverse
 from .exact import _omega_scores
-from .montecarlo import BATCH_SIZE, _flip_blocks
+from .montecarlo import _flip_blocks
 
 EXCURSION_ENUM_CAP = 24
 
@@ -508,7 +508,7 @@ def coupled_diff_mc(n: int, trials: int, seed: int) -> CoupledDiffEstimate:
         raise ValueError("trials must be >= 1")
     full, tail = _lookup_table(8), _lookup_table(n % 8)
     hits = 0
-    for words in _flip_blocks(n, 0.5, trials, seed, BATCH_SIZE):
+    for words in _flip_blocks(n, 0.5, trials, seed):
         rows = words.shape[1]
         # byte k of word w holds flips 64w + 8k ..; row 8w + k of flips8
         flips8 = words.astype("<u8", copy=False).view(np.uint8).reshape(-1, rows, 8)

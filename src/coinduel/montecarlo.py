@@ -12,9 +12,10 @@ round of k digits draws k raw PCG64 words for every word that still has an
 open lane at its start, digit by digit and, within a digit, in word order
 (`_bernoulli_words`). At p = 1/2, which has one digit, that is one raw word
 per word. So results depend only on (n, p, trials, seed) and are identical
-across platforms, and the coupled estimator (`excursions.coupled_diff_mc`)
-reads the same fair blocks as `simulate_game`. The tail walk draws from the
-single stream PCG64(SeedSequence(entropy=seed)).
+across platforms. It is one call, `_flip_blocks(n, p, trials, seed)`, for
+every caller: `simulate_game`, `excursions.coupled_diff_mc` (which so reads
+the same fair blocks) and `verify._random_blocks`. The tail walk draws from
+the single stream PCG64(SeedSequence(entropy=seed)).
 """
 
 from __future__ import annotations
@@ -132,9 +133,7 @@ def _pair_scores(words: np.ndarray, n: int) -> np.ndarray:
     return head_starts - 2 * np.bitwise_count(hh).sum(axis=0, dtype=np.int64)
 
 
-def _flip_blocks(
-    n: int, p: float, trials: int, seed: int, batch_size: int
-) -> Iterator[np.ndarray]:
+def _flip_blocks(n: int, p: float, trials: int, seed: int) -> Iterator[np.ndarray]:
     """The flips of `trials` games, block by block as the contract lays them out.
 
     Each block is a (ceil(n / 64), m) uint64 array: flip i of game g is bit
@@ -142,9 +141,9 @@ def _flip_blocks(
     """
     block = max(1, _MAX_BLOCK_CELLS // n)
     width = -(-n // 64)
-    for batch, first in enumerate(range(0, trials, batch_size)):
+    for batch, first in enumerate(range(0, trials, BATCH_SIZE)):
         rng = _substream(seed, batch)
-        games = min(batch_size, trials - first)
+        games = min(BATCH_SIZE, trials - first)
         for start in range(0, games, block):
             m = min(block, games - start)
             yield _bernoulli_words(rng, width * m, p).reshape(width, m)
@@ -153,7 +152,7 @@ def _flip_blocks(
 def simulate_game(config: SimConfig) -> SimResult:
     """Play config.trials independent games and classify the final score."""
     wins_a = wins_b = ties = 0
-    for words in _flip_blocks(config.n, config.p, config.trials, config.seed, BATCH_SIZE):
+    for words in _flip_blocks(config.n, config.p, config.trials, config.seed):
         scores = _pair_scores(words, config.n)
         wins_a += int(np.count_nonzero(scores < 0))
         wins_b += int(np.count_nonzero(scores > 0))

@@ -69,28 +69,30 @@ def _random_blocks(
     """Random sequences of the given lengths, block by block, and their flips.
 
     Sequence g is game g of the simulator's `_flip_blocks(max(lengths), p,
-    len(lengths), seed, batch)` cut to lengths[g] flips.  Its flip row
-    holds those flips (heads = 1), then zeros up to max(lengths).  A batch,
-    and so a block, holds BATCH_SIZE sequences, or as many as keep its flip
-    rows within the parse's _BLOCK_MAX_CELLS if that is fewer.
+    len(lengths), seed)` cut to lengths[g] flips.  Its flip row holds those
+    flips (heads = 1), then zeros up to max(lengths).  Each simulator block
+    is cut into blocks of as many sequences as keep their flip rows within
+    the parse's _BLOCK_MAX_CELLS.
     """
     n = int(lengths.max())
     width = (n + 7) // 8
-    batch = max(1, min(BATCH_SIZE, _BLOCK_MAX_CELLS // n))
+    cut = max(1, _BLOCK_MAX_CELLS // n)
     done = 0
-    for words in _flip_blocks(n, p, len(lengths), seed, batch):
-        rows = lengths[done : done + words.shape[1]]
-        done += rows.size
-        raw = np.ascontiguousarray(words.T, dtype="<u8").view(np.uint8)[:, :width]
-        # byte k of a row keeps its first clip(length - 8k, 0, 8) flips
-        kept = np.clip(rows[:, None] - np.arange(0, 8 * width, 8), 0, 8)
-        raw &= ((1 << kept) - 1).astype(np.uint8)
-        data = raw.tobytes()
-        seqs = [
-            FlipSequence(int.from_bytes(data[i : i + width], "little"), length)
-            for i, length in zip(range(0, len(data), width), rows.tolist())
-        ]
-        yield seqs, np.unpackbits(raw, axis=1, count=n, bitorder="little")
+    for words in _flip_blocks(n, p, len(lengths), seed):
+        games = np.ascontiguousarray(words.T, dtype="<u8").view(np.uint8)[:, :width]
+        for lo in range(0, len(games), cut):
+            raw = games[lo : lo + cut]
+            rows = lengths[done : done + len(raw)]
+            done += rows.size
+            # byte k of a row keeps its first clip(length - 8k, 0, 8) flips
+            kept = np.clip(rows[:, None] - np.arange(0, 8 * width, 8), 0, 8)
+            raw &= ((1 << kept) - 1).astype(np.uint8)
+            data = raw.tobytes()
+            seqs = [
+                FlipSequence(int.from_bytes(data[i : i + width], "little"), length)
+                for i, length in zip(range(0, len(data), width), rows.tolist())
+            ]
+            yield seqs, np.unpackbits(raw, axis=1, count=n, bitorder="little")
 
 
 def _random_sequences(seed: int, lengths: np.ndarray) -> Iterator[FlipSequence]:
@@ -210,14 +212,13 @@ def _check_position_classifier() -> tuple[bool, str]:
 
 
 def _check_tie_class_mass() -> tuple[bool, str]:
-    # a block holds one length, so equal counts in every block give them per n
-    for seqs, flips in _exhaustive(12):
-        zero_count = int(np.count_nonzero(_levels(flips)[:, -1] == 0))
+    # a block of n <= 12 holds all 2^n sequences of length n: T_n of fair_scan
+    for (seqs, _), (n, _, ties, _) in zip(_exhaustive(12), fair_scan(12)):
         tags = _final_classes(seqs)
         class_count = tags.count(PositionClass.INITIAL_TAILRUN)
         class_count += tags.count(PositionClass.NEUTRAL_ZERO)
-        if class_count != zero_count:
-            return False, f"n={flips.shape[1]}: {class_count} zero-class vs {zero_count} S_n=0"
+        if class_count != ties:
+            return False, f"n={n}: {class_count} zero-class vs T_n={ties} from fair_scan"
     return True, "P(S_n=0) equals the mass of the two zero classes, n <= 12"
 
 

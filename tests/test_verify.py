@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from coinduel import excursions, verify
-from coinduel.core import FlipSequence, parse_sequence
+from coinduel.core import FlipSequence, parse_sequence, score
 from coinduel.cli import dispatch
 from coinduel.excursions import Decomposition, Slot, SlotKind, decompose
+from coinduel.montecarlo import SimConfig, simulate_game
 
 import test_acceptance  # tests/ is on sys.path under pytest's default import mode
 
@@ -467,21 +468,63 @@ def test_exhaustive_blocks_run_by_length_then_bits():
 
 @pytest.mark.parametrize("length", [3, 300, 1000, 2000])
 def test_parse_check_blocks_keep_their_bound(length):
-    # a block holds BATCH_SIZE rows, or fewer where its cells would pass the
-    # parse's bound
+    # the simulator's blocks, cut at the parse's bound: at length 300 the
+    # first batch of BATCH_SIZE games is cut into 2^20 // 300 = 3495 rows
+    # and the 601 left over, and the second batch's 2895 games fit in one
     batch = min(verify.BATCH_SIZE, excursions._BLOCK_MAX_CELLS // length)
     blocks = _drawn(1, np.full(2 * batch + 1, length))
-    assert [len(seqs) for seqs, _ in blocks] == [batch, batch, 1]
+    assert [len(seqs) for seqs, _ in blocks] == {
+        3: [4096, 4096, 1],
+        300: [3495, 601, 2895],
+        1000: [1048, 1048, 1],
+        2000: [524, 524, 1],
+    }[length]
     for seqs, flips in blocks:
         assert flips.shape == (len(seqs), length)
         assert len(seqs) <= verify.BATCH_SIZE
         assert flips.size <= excursions._BLOCK_MAX_CELLS
 
 
+@pytest.mark.parametrize(
+    "n, trials, seed", [(1000, 2 * 1048 + 1, 7), (300, 2 * 3495 + 1, 8), (50, 5000, 9)]
+)
+def test_random_sequences_are_the_simulators_games(n, trials, seed):
+    # the registry's random sequences are simulate_game's games for the same
+    # seed, also where the parse's bound cuts a batch into several blocks
+    scores = np.array([score(s) for s in verify._random_sequences(seed, np.full(trials, n))])
+    result = simulate_game(SimConfig(n=n, trials=trials, seed=seed))
+    counts = [int(np.count_nonzero(test(scores, 0))) for test in (np.less, np.greater, np.equal)]
+    assert counts == [result.wins_a, result.wins_b, result.ties]
+
+
+def test_tie_mass_check_reads_fair_scan_not_levels(monkeypatch):
+    # its oracle is the exact tie count T_n, not the score levels the
+    # classifier check already reads
+    def no_levels(flips):
+        raise AssertionError("the tie-mass check read _levels")
+
+    monkeypatch.setattr(verify, "_levels", no_levels)
+    passed = (True, "P(S_n=0) equals the mass of the two zero classes, n <= 12")
+    assert verify._check_tie_class_mass() == passed
+    real = verify.fair_scan
+    ties_7 = list(real(7))[-1][2]
+
+    def one_off_at_7(n):
+        for k, below, equal, above in real(n):
+            yield k, below, equal + (k == 7), above
+
+    monkeypatch.setattr(verify, "fair_scan", one_off_at_7)
+    assert verify._check_tie_class_mass() == (
+        False,
+        f"n=7: {ties_7} zero-class vs T_n={ties_7 + 1} from fair_scan",
+    )
+
+
 def test_every_registry_draw_keeps_the_block_bounds(monkeypatch):
     # record each draw of the checks, and skip their exhaustive parts; a
     # draw's first block is its largest, because every batch but the last
-    # is full and the simulator does not split a batch this small
+    # is full, the simulator does not split a batch this small, and each
+    # block is cut from its start
     calls = []
 
     def recording(seed, lengths, p=0.5):
