@@ -160,8 +160,7 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_asym(args) -> int:
-    report = asymptotics(args.n)
-    _emit({"command": "asym", "method": "asym", **report.to_dict()})
+    _emit({"command": "asym", "method": "asym", **asdict(asymptotics(args.n))})
     return 0
 
 

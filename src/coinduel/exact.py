@@ -29,6 +29,9 @@ DP_FLOAT_MAX_N = 30_000
 # transform_distribution's arrays take about 81 bytes per flip: at this cap
 # it adds 81 MiB of peak RSS and runs in under a second (2-vCPU Xeon)
 TRANSFORM_MAX_N = 10**6
+# transform_distribution squares its tilt r ~ 2p/q, which underflows below
+# p ~ 1e-154; this floor keeps r^2 and z r normal floats
+TRANSFORM_MIN_P = 1e-150
 _U = 2.0**-53
 
 
@@ -458,7 +461,10 @@ def transform_distribution(n: int, p=Fraction(1, 2)) -> FloatDistribution:
     the far side of the mean, s > 0 for p > 1/2 (r > 1) and s < 0 for
     p <= 1/2, is sum t_s r^(-s) lam^(n-1) with weights r^(-s) <= 1, so it
     and the tie t_0 lam^(n-1) keep their relative accuracy however small
-    lam^(n-1) makes them.  The third class is 1 minus the other two.
+    lam^(n-1) makes them.  Small weights still cost accuracy: measured
+    against the exact DP, pA's relative error grows as p falls below 1/100,
+    to about 1e-9 at p = 1e-6 and 1e-6 at p = 1e-10, though it stays within
+    the absolute bound.  The third class is 1 minus the other two.
 
     G at each point comes from the 2x2 eigen closed form with k = n - 1:
     G = lambda_1^k (1 + (c/lambda_1 - 1) h), c = [p, q] M(z) [1, 1]^T,
@@ -518,13 +524,17 @@ def transform_distribution(n: int, p=Fraction(1, 2)) -> FloatDistribution:
     At p = 1/2 (r = 1, lam = 1) the bound is about 1e-12 at n = 1e4; at
     p = 0.6 it is 4u, the small classes carrying their own error of about
     1e-13 relative.  Memory is O(n): about a dozen arrays of N/2 complex or
-    n floats, so n is capped at TRANSFORM_MAX_N.
+    n floats, so n is capped at TRANSFORM_MAX_N.  p is at least
+    TRANSFORM_MIN_P: below about 1e-154 the square of the tilt underflows
+    and the points come out NaN.
     """
     if not 1 <= n <= TRANSFORM_MAX_N:
         raise ValueError(f"the transform needs 1 <= n <= {TRANSFORM_MAX_N}, got n = {n}")
     pf = float(p)
     if not 0.0 < pf < 1.0:
         raise ValueError(f"p must satisfy 0 < p < 1, got {p}")
+    if pf < TRANSFORM_MIN_P:
+        raise ValueError(f"the transform needs p >= {TRANSFORM_MIN_P:g}, got p = {pf!r}")
     if n == 1:
         return FloatDistribution(1, pf, 0.0, 0.0, 1.0, 0.0)
     q = 1.0 - pf

@@ -32,9 +32,8 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, repeat
 from operator import attrgetter
 from typing import Iterable, NamedTuple
 
@@ -68,12 +67,12 @@ class PositionClass(Enum):
 
 
 class Slot(NamedTuple):
-    """One window of the renewal parse, including its leading shared head.
+    """One window of the renewal parse, including its leading shared head:
+    one row of the window table.
 
     For kind A the window content is an A-hat excursion and tau_end marks
     the final flip of its A-part.  complete is False when the host sequence
-    ran out before the window closed.  source is the parsed sequence itself,
-    so the window's flips are stored once, not copied into every slot.
+    ran out before the window closed.
     """
 
     start_index: int
@@ -81,19 +80,6 @@ class Slot(NamedTuple):
     kind: SlotKind
     tau_end: int | None
     complete: bool
-    source: FlipSequence
-
-    def __repr__(self) -> str:
-        # the source is the whole parsed sequence: leave it out
-        return (
-            f"Slot(start_index={self.start_index!r}, end_index={self.end_index!r}, "
-            f"kind={self.kind!r}, tau_end={self.tau_end!r}, complete={self.complete!r})"
-        )
-
-    @property
-    def content(self) -> FlipSequence:
-        """The window's flips, start_index..end_index of source."""
-        return self.source.window(self.start_index, self.end_index)
 
     def to_dict(self) -> dict:
         return {
@@ -109,17 +95,26 @@ class Slot(NamedTuple):
 class Decomposition:
     """Renewal parse of a sequence: initial tailrun, first head, windows.
 
-    trailing is only populated when the sequence stops exactly on a renewal
-    head, i.e. a final window of which only the head has been seen; a
-    partially scanned window of known kind stays in slots with
+    sequence is the parsed sequence itself, and the windows' flips are read
+    from it.  trailing is only populated when the sequence stops exactly on
+    a renewal head, i.e. a final window of which only the head has been
+    seen; a partially scanned window of known kind stays in slots with
     complete=False.
     """
 
-    length: int
-    initial_tailrun_len: int
+    sequence: FlipSequence = field(repr=False)
     first_head_pos: int | None
     slots: tuple[Slot, ...]
     trailing: Slot | None
+
+    @property
+    def length(self) -> int:
+        return self.sequence.length
+
+    @property
+    def initial_tailrun_len(self) -> int:
+        """The tails before the first head: all of them if there is none."""
+        return self.length if self.first_head_pos is None else self.first_head_pos - 1
 
     def serialize(self) -> FlipSequence:
         """Rebuild the parsed sequence from the parts; inverse of decompose."""
@@ -129,7 +124,7 @@ class Decomposition:
             bits |= 1 << pos
             pos += 1
         for slot in self.slots:
-            w = slot.content
+            w = self.sequence.window(slot.start_index, slot.end_index)
             # drop the leading head: it is the previous window's last flip
             bits |= (w.bits >> 1) << pos
             pos += w.length - 1
@@ -330,25 +325,24 @@ def _materialise(seqs: list[FlipSequence], table: _Windows) -> list[Decompositio
         table.is_a.tolist(),
         table.tau_end.tolist(),
         table.complete.tolist(),
-        chain.from_iterable(map(repeat, seqs, counts)),
     )
     kind_a, kind_b = SlotKind.A, SlotKind.B  # an Enum member lookup per slot is slow
     slots = tuple(
         [
-            Slot(start, end, kind_a if is_a else kind_b, None if tau < 0 else tau, closed, seq)
-            for start, end, is_a, tau, closed, seq in fields
+            Slot(start, end, kind_a if is_a else kind_b, None if tau < 0 else tau, closed)
+            for start, end, is_a, tau, closed in fields
         ]
     )
     parses = []
     hi = 0
     for seq, count, first, tail in zip(seqs, counts, table.first.tolist(), table.trailing.tolist()):
-        n = seq.length
         if not first:
-            parses.append(Decomposition(n, n, None, (), None))
+            parses.append(Decomposition(seq, None, (), None))
             continue
-        trailing = Slot(n, n, SlotKind.UNDETERMINED, None, False, seq) if tail else None
+        n = seq.length
+        trailing = Slot(n, n, SlotKind.UNDETERMINED, None, False) if tail else None
         lo, hi = hi, hi + count
-        parses.append(Decomposition(n, first - 1, first, slots[lo:hi], trailing))
+        parses.append(Decomposition(seq, first, slots[lo:hi], trailing))
     return parses
 
 

@@ -74,6 +74,8 @@ class SimResult:
 
 def _substream(seed: int, *spawn_key: int) -> np.random.Generator:
     """A PCG64 stream; the empty key gives SeedSequence(entropy=seed) itself."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=spawn_key))
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
@@ -175,9 +175,6 @@ class AsymptoticReport:
     tie_approx: float
     deficit_B: float
     deficit_A: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def asymptotics(n: int) -> AsymptoticReport:

@@ -265,12 +265,10 @@ def _parse_fault(table: _Windows, flips: np.ndarray, levels: np.ndarray) -> tupl
     - the padding after an A-part is all T, and a closed window ends in H;
     - a trailing head is recorded exactly when the last window closed on
       flip n (or the first head is flip n).
-    The table has no field for the rest of a Decomposition: the initial
-    tailrun, a kind that is neither A nor B, the trailing slot's fields and
-    each slot's source.  Those come from the materialiser
-    (excursions._materialise), whose parses parser-paths-agree holds equal
-    to the flip-by-flip _decompose_reference, which carries the first three,
-    and checks for the source: every slot holds the parsed sequence itself.
+    The table has no field for the rest of a Decomposition: a kind that is
+    neither A nor B and the trailing slot's fields.  Those come from the
+    materialiser (excursions._materialise), whose parses parser-paths-agree
+    holds equal to the flip-by-flip _decompose_reference.
     """
     rows, n = flips.shape
     faults: list[tuple[int, str]] = []
@@ -418,14 +416,14 @@ def _decompose_reference(seq: FlipSequence) -> Decomposition:
             break
         b >>= 1
     if not first_head:
-        return Decomposition(n, n, None, (), None)
+        return Decomposition(seq, None, (), None)
 
     slots: list[Slot] = []
     trailing = None
     e = first_head
     while True:
         if e == n:
-            trailing = Slot(e, e, SlotKind.UNDETERMINED, None, False, seq)
+            trailing = Slot(e, e, SlotKind.UNDETERMINED, None, False)
             break
         a_type = (bits >> e) & 1 == 1  # the flip after the head picks the form
         # window score from the head at e; first return to zero closes B or tau
@@ -444,13 +442,13 @@ def _decompose_reference(seq: FlipSequence) -> Decomposition:
                 break
         if not a_type:
             if zero_at:
-                slots.append(Slot(e, zero_at, SlotKind.B, None, True, seq))
+                slots.append(Slot(e, zero_at, SlotKind.B, None, True))
                 e = zero_at
                 continue
-            slots.append(Slot(e, n, SlotKind.B, None, False, seq))
+            slots.append(Slot(e, n, SlotKind.B, None, False))
             break
         if not zero_at:
-            slots.append(Slot(e, n, SlotKind.A, None, False, seq))
+            slots.append(Slot(e, n, SlotKind.A, None, False))
             break
         tau_end = zero_at
         j = tau_end
@@ -458,23 +456,16 @@ def _decompose_reference(seq: FlipSequence) -> Decomposition:
             j += 1
         if j < n:
             f = j + 1
-            slots.append(Slot(e, f, SlotKind.A, tau_end, True, seq))
+            slots.append(Slot(e, f, SlotKind.A, tau_end, True))
             e = f
             continue
-        slots.append(Slot(e, n, SlotKind.A, tau_end, False, seq))
+        slots.append(Slot(e, n, SlotKind.A, tau_end, False))
         break
-    return Decomposition(n, first_head - 1, first_head, tuple(slots), trailing)
-
-
-def _holds(parse: Decomposition, seq: FlipSequence) -> bool:
-    """Every slot of parse, the trailing one too, holds seq itself."""
-    held = parse.slots if parse.trailing is None else (*parse.slots, parse.trailing)
-    return all(slot.source is seq for slot in held)
+    return Decomposition(seq, first_head, tuple(slots), trailing)
 
 
 def _check_parser_equivalence() -> tuple[bool, str]:
-    # each sequence is parsed three ways: in a block, alone, and flip by flip;
-    # the slots of the first two hold the parsed sequence itself, not a copy
+    # each sequence is parsed three ways: in a block, alone, and flip by flip
     trials = 2000
     randoms = _random_blocks(105, _substream(105).integers(240, 521, trials))
     for seqs, _ in chain(_exhaustive(12), randoms):
@@ -482,8 +473,6 @@ def _check_parser_equivalence() -> tuple[bool, str]:
             alone = decompose(seq)
             if not parse == alone == _decompose_reference(seq):
                 return False, f"parsers disagree at {seq}"
-            if not (_holds(parse, seq) and _holds(alone, seq)):
-                return False, f"a slot's source is not the parsed sequence at {seq}"
     return True, (
         f"decompose equals the flip-by-flip reference, exhaustive to length 12 "
         f"plus {trials} random sequences"

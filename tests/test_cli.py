@@ -338,6 +338,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(exact.TRANSFORM_MAX_N) in err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["mc", "--n", "10", "--trials", "5", "--seed", "-1"],
+            ["walk", "--steps", "10", "--seed", "-1"],
+        ],
+    )
+    def test_negative_seed_is_one(self, args):
+        proc = run_cli(*args, check=False)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == "error: seed must be >= 0, got -1\n"
+
+    def test_transform_tiny_p_is_one(self):
+        proc = run_cli("dp", "--n", "100", "--mode", "float", "--p", "1e-300", check=False)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == "error: the transform needs p >= 1e-150, got p = 1e-300\n"
+
     def test_table_cap_is_one(self, capsys):
         from coinduel.cli import dispatch
         from coinduel.exact import DP_FLOAT_MAX_N

@@ -342,6 +342,19 @@ class TestTransform:
         with pytest.raises(ValueError):
             transform_distribution(0)
 
+    @pytest.mark.parametrize("n", [3, 50])
+    def test_tiny_p_is_computed_or_rejected(self, n):
+        # the tilt r ~ 2p squared underflows near p = 1e-154: below the
+        # floor the transform refuses, at it every class is within its bound
+        low = exact.TRANSFORM_MIN_P
+        for tiny in (1e-300, 1e-155, 5e-324):
+            with pytest.raises(ValueError, match=rf"p >= {low:g}, got p = {tiny!r}"):
+                transform_distribution(n, tiny)
+        dist = transform_distribution(n, low)
+        ref = dp_distribution(n, Fraction(low))
+        for got, want in ((dist.pA, ref.pA), (dist.pB, ref.pB), (dist.pTie, ref.pTie)):
+            assert abs(Fraction(got) - want) <= Fraction(dist.rounding_bound)
+
 
 class TestValueSemantics:
     def test_frozen(self):

@@ -213,11 +213,11 @@ class TestDecompose:
         first, second = d.slots
         assert (first.start_index, first.end_index, first.kind) == (1, 4, SlotKind.B)
         assert first.complete and first.tau_end is None
-        assert str(first.content) == "HTHH"
+        assert str(d.sequence.window(first.start_index, first.end_index)) == "HTHH"
         assert (second.start_index, second.end_index, second.kind) == (4, 8, SlotKind.A)
         assert second.tau_end == 6
         assert second.complete
-        assert str(second.content) == "HHTTH"
+        assert str(d.sequence.window(second.start_index, second.end_index)) == "HHTTH"
         # the sequence stops on a renewal head: recorded as a bare trailing slot
         assert d.trailing is not None
         assert d.trailing.kind is SlotKind.UNDETERMINED
@@ -235,11 +235,22 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(FlipSequence(0, 0))
 
+    def test_parse_stores_each_fact_once(self):
+        # a slot is one window-table row; the parse holds its sequence once
+        # and reads length and initial tailrun off it
+        assert Slot._fields == ("start_index", "end_index", "kind", "tau_end", "complete")
+        seq = parse_sequence("HTTHHHTT" * 8)
+        assert str(seq) not in repr(decompose(seq))
+        for text, tailrun in (("TTTT", 4), ("TTTH", 3), ("TTHTHH", 2)):
+            d = decompose(parse_sequence(text))
+            assert (d.length, d.initial_tailrun_len) == (len(text), tailrun)
+
     def test_windows_tile_and_share_heads(self):
         for n in range(1, 13):
             for bits in range(1 << n):
                 seq = FlipSequence(bits, n)
                 d = decompose(seq)
+                assert d.sequence is seq
                 if d.first_head_pos is None:
                     assert d.initial_tailrun_len == n
                     continue
@@ -247,7 +258,6 @@ class TestDecompose:
                 for slot in d.slots:
                     assert slot.start_index == cursor
                     assert seq.is_head(slot.start_index)
-                    assert slot.content == seq.window(slot.start_index, slot.end_index)
                     cursor = slot.end_index
                 if d.trailing is not None:
                     assert d.trailing.start_index == cursor == n
@@ -351,8 +361,9 @@ class TestDecompose:
 
     @given(texts)
     def test_interior_window_scores(self, text):
-        for slot in decompose(parse_sequence(text)).slots:
-            series = score_series(slot.content)
+        d = decompose(parse_sequence(text))
+        for slot in d.slots:
+            series = score_series(d.sequence.window(slot.start_index, slot.end_index))
             if slot.kind is SlotKind.B and slot.complete:
                 assert all(v > 0 for v in series[1:-1])
                 assert series[-1] == 0
@@ -447,8 +458,8 @@ class TestDecomposeMany:
         seqs = [parse_sequence("HTHHHTTH"), parse_sequence("HHTTHT" * 50)]
         for seq, d in zip(seqs, decompose_many(seqs)):
             for parse in (d, decompose(seq)):
-                assert all(type(s) is Slot and s.source is seq for s in parse.slots)
-                assert parse.trailing is None or parse.trailing.source is seq
+                assert parse.sequence is seq
+                assert all(type(s) is Slot for s in parse.slots)
                 assert parse.serialize() == seq
 
     def test_empty_input(self):

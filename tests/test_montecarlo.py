@@ -4,7 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from coinduel import SimConfig, WalkReport, dp_distribution, simulate_game, tailwalk
+from coinduel import (
+    SimConfig,
+    WalkReport,
+    coupled_diff_mc,
+    dp_distribution,
+    simulate_game,
+    tailwalk,
+)
 from coinduel.montecarlo import _WALK_BLOCK, _bernoulli_words, _pair_scores, _substream
 
 
@@ -156,6 +163,20 @@ class TestValidation:
         r = run(3, 10, 1)
         with pytest.raises(AttributeError):
             r.pA = 0.5
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda seed: run(5, 10, seed),
+            lambda seed: run(5, 10, seed, p=0.3),
+            lambda seed: coupled_diff_mc(5, 10, seed),
+            lambda seed: tailwalk(10, seed),
+        ],
+        ids=["simulate_game", "simulate_game-biased", "coupled_diff_mc", "tailwalk"],
+    )
+    def test_negative_seed_is_named(self, draw):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            draw(-1)
 
 
 class TestTailWalk:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -221,7 +222,7 @@ class TestAsymptotics:
             asymptotics(0)
 
     def test_to_dict_keys(self):
-        d = asymptotics(10).to_dict()
+        d = asdict(asymptotics(10))
         assert set(d) == {"n", "c", "diff_approx", "tie_approx", "deficit_B", "deficit_A"}
 
 
