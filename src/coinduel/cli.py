@@ -18,31 +18,28 @@ is tagged with the method that produced it:
   mc          seeded simulation
 
 Exit codes: 0 success, 1 domain error, 2 usage error.
+
+Start-up.  At module level this imports only the standard library, `core`,
+`renewal` and `rational`, so `dp --mode exact`, `diff --method dp|renewal`,
+`renewal`, `asym` and `table` up to n = 4096 never load numpy.  A handler
+that needs a numpy module imports it when it runs: `exact` for `exact`,
+`dp --mode float`, `diff --method enum` and `table` above n = 4096;
+`excursions` for `decompose`; `montecarlo` for `mc` and `walk`; `verify` for
+`verify`.  The argparse parser is built on the first dispatch and kept.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
 from fractions import Fraction
 
-from .exact import (
-    DP_EXACT_MAX_N,
-    DP_FLOAT_MAX_N,
-    FloatDistribution,
-    _dp_float_bands,
-    _float_sign_sums,
-    dp_distribution,
-    enumerate_distribution,
-    transform_distribution,
-)
-from .excursions import decompose
 from .core import parse_sequence
-from .montecarlo import SimConfig, simulate_game, tailwalk
+from .rational import DP_EXACT_MAX_N, FloatDistribution, dp_distribution
 from .renewal import asymptotics, fair_scan, renewal_diff, renewal_table
-from .verify import run_all
 
 
 def _frac(value: Fraction) -> str:
@@ -100,6 +97,8 @@ def _law_record(command: str, method: str, dist) -> dict:
 
 
 def _cmd_exact(args) -> int:
+    from .exact import enumerate_distribution
+
     _emit(_law_record("exact", "enum", enumerate_distribution(args.n, Fraction(args.p))))
     return 0
 
@@ -107,6 +106,8 @@ def _cmd_exact(args) -> int:
 def _cmd_dp(args) -> int:
     p = Fraction(args.p)
     if args.mode == "float":
+        from .exact import transform_distribution
+
         _emit(_law_record("dp", "fft-float", transform_distribution(args.n, p)))
     else:
         _emit(_law_record("dp", "dp-exact", dp_distribution(args.n, p)))
@@ -114,6 +115,8 @@ def _cmd_dp(args) -> int:
 
 
 def _cmd_mc(args) -> int:
+    from .montecarlo import SimConfig, simulate_game
+
     config = SimConfig(n=args.n, trials=args.trials, seed=args.seed, p=float(Fraction(args.p)))
     _emit({"command": "mc", "method": "mc", **asdict(simulate_game(config))})
     return 0
@@ -146,6 +149,8 @@ def _cmd_diff(args) -> int:
     elif args.method == "dp":
         value, tag = dp_distribution(args.n).diff, "dp-exact"
     else:
+        from .exact import enumerate_distribution
+
         value, tag = enumerate_distribution(args.n).diff, "enum"
     _emit(
         {
@@ -165,6 +170,8 @@ def _cmd_asym(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .excursions import decompose
+
     seq = parse_sequence(args.sequence)
     _emit({"command": "decompose", "sequence": str(seq), **decompose(seq).to_dict()})
     return 0
@@ -175,9 +182,10 @@ def _table_laws(n_from: int, n_to: int, step: int):
 
     One forward pass covers the whole sweep, and n_to picks it for every
     row: up to DP_EXACT_MAX_N the fair-coin recurrence, each requested row
-    rounded once from its exact counts; above that the float DP, which runs
-    once to n_to and sums the sign classes of the printed rows only, so a
-    sweep that crosses DP_EXACT_MAX_N is float DP from n_from on.
+    rounded once from its exact counts; above that, up to exact's
+    DP_FLOAT_MAX_N, the float DP, which runs once to n_to and sums the sign
+    classes of the printed rows only, so a sweep that crosses DP_EXACT_MAX_N
+    is float DP from n_from on.
     """
     if n_to <= DP_EXACT_MAX_N:
         method = "recurrence"
@@ -187,6 +195,12 @@ def _table_laws(n_from: int, n_to: int, step: int):
             if n >= n_from and (n - n_from) % step == 0
         )
     else:
+        from .exact import DP_FLOAT_MAX_N, _dp_float_bands, _float_sign_sums
+
+        if n_to > DP_FLOAT_MAX_N:
+            raise ValueError(
+                f"n-to is capped at {DP_FLOAT_MAX_N}, where the O(n^2) float DP takes 2 s"
+            )
         # the float sums are probabilities already, and x / 1 is x exactly
         method = "dp-float"
         laws = (
@@ -210,8 +224,6 @@ def _table_laws(n_from: int, n_to: int, step: int):
 def _cmd_table(args) -> int:
     if args.n_from < 1 or args.n_to < args.n_from or args.step < 1:
         raise ValueError("need 1 <= n-from <= n-to and step >= 1")
-    if args.n_to > DP_FLOAT_MAX_N:  # an n-to above DP_EXACT_MAX_N runs the float DP
-        raise ValueError(f"n-to is capped at {DP_FLOAT_MAX_N}, where the O(n^2) float DP takes 2 s")
     rows = list(_table_laws(args.n_from, args.n_to, args.step))
     if args.format == "csv":
         _print_csv(("n", "pA", "pB", "pTie", "diff", "tie_asym", "diff_asym"), rows)
@@ -230,12 +242,16 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_walk(args) -> int:
+    from .montecarlo import tailwalk
+
     report = tailwalk(args.steps, args.seed)
     _emit({"command": "walk", "method": "mc", **asdict(report)})
     return 0
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_all
+
     def report(result):
         if args.json:
             print(json.dumps(asdict(result)), flush=True)
@@ -253,7 +269,10 @@ def _cmd_verify(args) -> int:
     return 0 if passed == len(results) else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call: most of a
+    build is argparse's message-catalogue lookups, about 1 ms."""
     parser = argparse.ArgumentParser(
         prog="coinduel",
         description="Win/tie probabilities for the HH-vs-HT coin game.",
@@ -322,9 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def dispatch(argv) -> int:
     """Parse argv and run one subcommand; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

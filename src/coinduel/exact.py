@@ -1,9 +1,11 @@
-"""Ground-truth solvers: exhaustive enumeration over all 2^n sequences and
-an exact forward DP over (last flip, score) states, both with arbitrary
-head probability p; and the float solver, transform_distribution, which
-reads the same law off one FFT of the score chain's generating function, in
-O(n log n).  The DP's O(n^2) float twin serves `table` above n = 4096 only;
-verify checks it against fair_scan.
+"""The numpy solvers: exhaustive enumeration over all 2^n sequences, with
+arbitrary head probability p; the float solver, transform_distribution,
+which reads the law off one FFT of the score chain's generating function,
+in O(n log n); and the exact DP's O(n^2) float twin, which serves `table`
+above n = 4096 only and which verify checks against fair_scan.
+
+The exact rational DP and the outcome records live in `rational`, which
+imports no numpy.
 
 Everything reports the final-score trichotomy pA = P(S_n < 0),
 pB = P(S_n > 0), pTie = P(S_n = 0): Alice collects a point per HH, Bob per
@@ -13,17 +15,25 @@ HT, and the winner is whoever has more after n flips.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import add, mul
 from typing import Iterable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+# _dp_scan, dp_distribution and dp_series are not used here: they are
+# imported so that verify, the tests and the benchmark's tracer can still
+# name them as exact.X
+from .rational import (
+    ExactDistribution,
+    FloatDistribution,
+    _as_probability,
+    _dp_scan,
+    dp_distribution,
+    dp_series,
+)
+
 ENUM_MAX_N = 30
-DP_EXACT_MAX_N = 4096
 # the float DP is O(n^2): at this cap a table row takes about 2 s (2-vCPU Xeon)
 DP_FLOAT_MAX_N = 30_000
 # transform_distribution's arrays take about 81 bytes per flip: at this cap
@@ -33,42 +43,6 @@ TRANSFORM_MAX_N = 10**6
 # p ~ 1e-154; this floor keeps r^2 and z r normal floats
 TRANSFORM_MIN_P = 1e-150
 _U = 2.0**-53
-
-
-@dataclass(frozen=True)
-class ExactDistribution:
-    n: int
-    p: Fraction
-    pA: Fraction
-    pB: Fraction
-    pTie: Fraction
-
-    @property
-    def diff(self) -> Fraction:
-        return self.pB - self.pA
-
-
-@dataclass(frozen=True)
-class FloatDistribution:
-    """Same trichotomy in binary floats, with a forward rounding bound."""
-
-    n: int
-    p: float
-    pA: float
-    pB: float
-    pTie: float
-    rounding_bound: float
-
-    @property
-    def diff(self) -> float:
-        return self.pB - self.pA
-
-
-def _as_probability(p) -> Fraction:
-    p = Fraction(p)
-    if not 0 < p < 1:
-        raise ValueError(f"p must satisfy 0 < p < 1, got {p}")
-    return p
 
 
 def _omega_scores(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -113,54 +87,6 @@ def enumerate_distribution(n: int, p=Fraction(1, 2)) -> ExactDistribution:
         sum(int(counts[row, h]) * weights[h] for h in range(n + 1)) for row in range(3)
     )
     return ExactDistribution(n, p, pA, pB, pTie)
-
-
-def _scaled(values: list[int], factor: int) -> list[int]:
-    return values if factor == 1 else list(map(mul, values, repeat(factor)))
-
-
-def _dp_scan(n: int, p: Fraction) -> Iterator[tuple[int, int, int, int]]:
-    """Forward DP in integer weights; yields (k, below, equal, above) per step.
-
-    States are (last flip, score s): an H flip maps (H, s+1) -> (H, s) [pair
-    HH] and (T, s) -> (H, s); a T flip maps (H, s-1) -> (T, s) [pair HT] and
-    (T, s) -> (T, s).  Weights are multiplied by p's numerator for H and by
-    denominator-numerator for T, so step k sums to denominator^k.  Only the
-    reachable band s in [-(k-1), floor(k/2)] is touched.
-
-    The sign sums are carried across the zero line rather than re-summed:
-    the same maps send the below-zero H mass to
-    a (h_below + H(0) + t_below) and the T mass to
-    c (h_below - H(-1) + t_below), and the above-zero H and T mass to
-    a (h_above - H(1) + t_above) and c (h_above + H(0) + t_above), where
-    H(.) are the cells of the step before.
-    """
-    num, den = p.numerator, p.denominator
-    a, c = num, den - num
-    size = n + n // 2 + 3
-    off = n
-    weight_h = [0] * size
-    weight_t = [0] * size
-    weight_h[off] = a
-    weight_t[off] = c
-    h_below = t_below = h_above = t_above = 0
-    yield 1, 0, a + c, 0
-    for k in range(2, n + 1):
-        lo = off - (k - 1)
-        hi = off + k // 2
-        h_minus, h_zero, h_plus = weight_h[off - 1 : off + 2]
-        h_below, t_below, h_above, t_above = (
-            a * (h_below + h_zero + t_below),
-            c * (h_below - h_minus + t_below),
-            a * (h_above - h_plus + t_above),
-            c * (h_above + h_zero + t_above),
-        )
-        band_t = weight_t[lo : hi + 1]
-        new_h = _scaled(list(map(add, weight_h[lo + 1 : hi + 2], band_t)), a)
-        new_t = _scaled(list(map(add, weight_h[lo - 1 : hi], band_t)), c)
-        weight_h[lo : hi + 1] = new_h
-        weight_t[lo : hi + 1] = new_t
-        yield k, h_below + t_below, weight_h[off] + weight_t[off], h_above + t_above
 
 
 def _dp_float_bands(
@@ -225,39 +151,6 @@ def _rounding_bound(n: int) -> float:
     # crude forward bound: <= 3 roundings per state per step plus summation
     # slack; observed drift against exact rationals is ~1e3 times smaller
     return (3.0 * n + 64.0) * 2.0**-53
-
-
-def dp_distribution(n: int, p=Fraction(1, 2)) -> ExactDistribution:
-    """Distribution of the final-score sign after n flips, by exact forward DP."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > DP_EXACT_MAX_N:
-        raise ValueError(f"exact mode is capped at n = {DP_EXACT_MAX_N}")
-    p = _as_probability(p)
-    for _, below, equal, above in _dp_scan(n, p):
-        pass
-    denom = p.denominator**n
-    return ExactDistribution(
-        n, p, Fraction(below, denom), Fraction(above, denom), Fraction(equal, denom)
-    )
-
-
-def dp_series(n_max: int, p=Fraction(1, 2)) -> list[ExactDistribution]:
-    """ExactDistribution for every n = 1..n_max from a single forward pass."""
-    if not 1 <= n_max <= DP_EXACT_MAX_N:
-        raise ValueError(f"need 1 <= n_max <= {DP_EXACT_MAX_N}")
-    p = _as_probability(p)
-    den = p.denominator
-    denom = 1
-    out = []
-    for k, below, equal, above in _dp_scan(n_max, p):
-        denom *= den
-        out.append(
-            ExactDistribution(
-                k, p, Fraction(below, denom), Fraction(above, denom), Fraction(equal, denom)
-            )
-        )
-    return out
 
 
 def dp_float_series(n_max: int, p: float = 0.5) -> list[FloatDistribution]:
@@ -519,7 +412,9 @@ def transform_distribution(n: int, p=Fraction(1, 2)) -> FloatDistribution:
        within u (3 + 2 k |log lam|) relative, plus 2^-1074 if it underflows.
        The third class, 1 - (S + tie), is within the sum of the other two
        bounds plus 2u, and so is pA + pB + pTie - 1; that sum is
-       rounding_bound.
+       rounding_bound.  A class that comes out below 0 is set to 0, which
+       only brings it closer to its true value, and the third class is
+       formed from the two after that.
 
     At p = 1/2 (r = 1, lam = 1) the bound is about 1e-12 at n = 1e4; at
     p = 0.6 it is 4u, the small classes carrying their own error of about
@@ -570,7 +465,9 @@ def transform_distribution(n: int, p=Fraction(1, 2)) -> FloatDistribution:
         + 2.0 * 2.0**-1074  # either product may underflow
         + 2.0 * _U
     )
-    large = 1.0 - (small_value + tie)
+    # no class is below 0, so clamping one there only brings it closer
+    small_value, tie = max(small_value, 0.0), max(tie, 0.0)
+    large = max(1.0 - (small_value + tie), 0.0)
     if r > 1.0:
         return FloatDistribution(n, pf, large, small_value, tie, bound)
     return FloatDistribution(n, pf, small_value, large, tie, bound)

@@ -12,6 +12,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -214,13 +215,13 @@ class TestSemantics:
                 ], (n, p)
 
     def test_dp_float_never_runs_the_float_dp(self, monkeypatch, capsys):
+        # cli reads exact's names when a handler runs, so patching exact is enough
         from coinduel import cli, exact
 
         def refuse(*args):
             raise AssertionError("dp --mode float ran the float DP")
 
         monkeypatch.setattr(exact, "_dp_float_bands", refuse)
-        monkeypatch.setattr(cli, "_dp_float_bands", refuse)
         for n in (1, 100, 4096):
             assert cli.dispatch(["dp", "--n", str(n), "--mode", "float"]) == 0
             assert json.loads(capsys.readouterr().out)["method"] == "fft-float"
@@ -289,6 +290,21 @@ class TestReadme:
             assert out == shown + "\n"
 
 
+class TestParser:
+    def test_built_once(self):
+        from coinduel.cli import _build_parser
+
+        assert _build_parser() is _build_parser()
+
+    def test_usage_error_leaves_it_reusable(self, capsys):
+        from coinduel.cli import dispatch
+
+        assert dispatch(["dp"]) == 2
+        capsys.readouterr()
+        assert dispatch(["dp", "--n", "4"]) == 0
+        assert capsys.readouterr().out == golden("dp_n4.json")
+
+
 class TestDeterminism:
     def test_mc_repeats_byte_identical(self):
         args = ("mc", "--n", "40", "--trials", "5000", "--seed", "123")
@@ -349,6 +365,21 @@ class TestExitCodes:
         proc = run_cli(*args, check=False)
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr == "error: seed must be >= 0, got -1\n"
+
+    def test_dp_bit_budget_is_one(self, capsys):
+        # 4096 steps at a 997-bit denominator would run for hours: refused
+        # before the first step
+        from coinduel.cli import dispatch
+
+        t0 = time.perf_counter()
+        assert dispatch(["dp", "--n", "4096", "--p", "1e-300"]) == 1
+        assert time.perf_counter() - t0 < 1.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: the exact DP needs n * (bits of p's denominator) <= 32768, "
+            "got n = 4096 and 997 bits, 4083712\n"
+        )
 
     def test_transform_tiny_p_is_one(self):
         proc = run_cli("dp", "--n", "100", "--mode", "float", "--p", "1e-300", check=False)
@@ -457,3 +488,38 @@ class TestImport:
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert (lines[0], lines[-1]) == ("False", "False")
+
+    def test_exact_routes_leave_numpy_unloaded(self):
+        # dp --mode exact, diff by dp or renewal, renewal, asym and table up
+        # to n = 4096 are integer and rational arithmetic: neither they nor
+        # the imports before them load numpy, or exact
+        commands = [
+            ["dp", "--n", "200"],
+            ["diff", "--n", "200", "--method", "dp"],
+            ["diff", "--n", "200"],
+            ["asym", "--n", "100"],
+            ["renewal", "--m-to", "50"],
+            ["table", "--n-from", "10", "--n-to", "100", "--step", "10"],
+        ]
+        code = (
+            "import contextlib, io, json, sys\n"
+            "def loaded():\n"
+            "    return [m for m in ('numpy', 'coinduel.exact') if m in sys.modules]\n"
+            "import coinduel\n"
+            "print(json.dumps(['import coinduel', loaded()]))\n"
+            "from coinduel.cli import dispatch\n"
+            "print(json.dumps(['import coinduel.cli', loaded()]))\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert dispatch(argv) == 0, argv\n"
+            "    print(json.dumps([' '.join(argv), loaded()]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        steps = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert [step for step, _ in steps] == [
+            "import coinduel",
+            "import coinduel.cli",
+            *(" ".join(argv) for argv in commands),
+        ]
+        assert {step: modules for step, modules in steps if modules} == {}

@@ -27,6 +27,7 @@ from coinduel.exact import (
     _omega_scores,
     _saddle_tilt,
 )
+from coinduel.rational import DP_EXACT_MAX_BITS, _dp_probability
 from coinduel.renewal import fair_scan
 
 probs = st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100))
@@ -181,6 +182,21 @@ class TestDPExact:
         d = dp_distribution(333, Fraction(3, 5))
         assert d.pA + d.pB + d.pTie == 1
         assert d.pA > 0 and d.pB > 0 and d.pTie > 0
+
+    def test_bit_budget(self):
+        # n * (bits of p's denominator) is capped, so no input runs for hours;
+        # p = 1/2 at the length cap and 4096 steps at an 8-bit denominator fit
+        assert DP_EXACT_MAX_BITS == 2**15
+        assert _dp_probability(DP_EXACT_MAX_N, HALF) == HALF
+        assert _dp_probability(4096, Fraction(1, 255)) == Fraction(1, 255)
+        message = "<= 32768, got n = 4096 and 9 bits, 36864"
+        with pytest.raises(ValueError, match=message):
+            _dp_probability(4096, Fraction(1, 256))
+        # a float p brings its whole binary denominator: 0.6's is 2^53
+        assert _dp_probability(600, 0.6) == Fraction(0.6)
+        for call in (dp_distribution, dp_series):
+            with pytest.raises(ValueError, match="got n = 700 and 54 bits, 37800"):
+                call(700, 0.6)
 
 
 class TestDPFloat:
@@ -341,6 +357,17 @@ class TestTransform:
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ValueError):
             transform_distribution(0)
+
+    @pytest.mark.parametrize("p", [1e-20, 1e-100])
+    def test_tiny_p_classes_are_not_negative(self, p):
+        # pA at p = 1e-100 is about 1e-117 below its bound: the transform
+        # clamps each class at 0 rather than print it negative
+        n = 50
+        dist = transform_distribution(n, p)
+        ref = dp_distribution(n, Fraction(p))
+        for got, want in ((dist.pA, ref.pA), (dist.pB, ref.pB), (dist.pTie, ref.pTie)):
+            assert got >= 0.0
+            assert abs(Fraction(got) - want) <= Fraction(dist.rounding_bound)
 
     @pytest.mark.parametrize("n", [3, 50])
     def test_tiny_p_is_computed_or_rejected(self, n):
