@@ -117,7 +117,7 @@ def _cmd_dp(args) -> int:
 def _cmd_mc(args) -> int:
     from .montecarlo import SimConfig, simulate_game
 
-    config = SimConfig(n=args.n, trials=args.trials, seed=args.seed, p=float(Fraction(args.p)))
+    config = SimConfig(n=args.n, trials=args.trials, seed=args.seed, p=Fraction(args.p))
     _emit({"command": "mc", "method": "mc", **asdict(simulate_game(config))})
     return 0
 
@@ -182,10 +182,10 @@ def _table_laws(n_from: int, n_to: int, step: int):
 
     One forward pass covers the whole sweep, and n_to picks it for every
     row: up to DP_EXACT_MAX_N the fair-coin recurrence, each requested row
-    rounded once from its exact counts; above that, up to exact's
-    DP_FLOAT_MAX_N, the float DP, which runs once to n_to and sums the sign
-    classes of the printed rows only, so a sweep that crosses DP_EXACT_MAX_N
-    is float DP from n_from on.
+    rounded once from its exact counts; above that the float DP, up to its
+    cap, which runs once to n_to and sums the sign classes of the printed
+    rows only, so a sweep that crosses DP_EXACT_MAX_N is float DP from
+    n_from on.
     """
     if n_to <= DP_EXACT_MAX_N:
         method = "recurrence"
@@ -195,12 +195,8 @@ def _table_laws(n_from: int, n_to: int, step: int):
             if n >= n_from and (n - n_from) % step == 0
         )
     else:
-        from .exact import DP_FLOAT_MAX_N, _dp_float_bands, _float_sign_sums
+        from .exact import _dp_float_bands, _float_sign_sums
 
-        if n_to > DP_FLOAT_MAX_N:
-            raise ValueError(
-                f"n-to is capped at {DP_FLOAT_MAX_N}, where the O(n^2) float DP takes 2 s"
-            )
         # the float sums are probabilities already, and x / 1 is x exactly
         method = "dp-float"
         laws = (

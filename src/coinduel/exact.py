@@ -21,17 +21,10 @@ from typing import Iterable, Iterator
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-# _dp_scan, dp_distribution and dp_series are not used here: they are
-# imported so that verify, the tests and the benchmark's tracer can still
-# name them as exact.X
-from .rational import (
-    ExactDistribution,
-    FloatDistribution,
-    _as_probability,
-    _dp_scan,
-    dp_distribution,
-    dp_series,
-)
+from .rational import ExactDistribution, FloatDistribution, _as_float_probability, _as_probability
+
+# not used here: the benchmark's tracer names these two as exact.X
+from .rational import dp_distribution, dp_series
 
 ENUM_MAX_N = 30
 # the float DP is O(n^2): at this cap a table row takes about 2 s (2-vCPU Xeon)
@@ -102,10 +95,13 @@ def _dp_float_bands(
     by (p, q); each cell is still fl(fl(H(s±1) + T(s)) * p|q).
 
     The arrays are views of buffers that the next step overwrites, so read
-    each before asking for the next.
+    each before asking for the next.  n is at most DP_FLOAT_MAX_N.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must satisfy 0 < p < 1, got {p}")
+    if n > DP_FLOAT_MAX_N:
+        raise ValueError(
+            f"the O(n^2) float DP is capped at n = {DP_FLOAT_MAX_N}, where it takes 2 s"
+        )
+    p = _as_float_probability(p)
     wanted = set(steps)
     last = max(wanted, default=0)
     q = 1.0 - p
@@ -425,9 +421,7 @@ def transform_distribution(n: int, p=Fraction(1, 2)) -> FloatDistribution:
     """
     if not 1 <= n <= TRANSFORM_MAX_N:
         raise ValueError(f"the transform needs 1 <= n <= {TRANSFORM_MAX_N}, got n = {n}")
-    pf = float(p)
-    if not 0.0 < pf < 1.0:
-        raise ValueError(f"p must satisfy 0 < p < 1, got {p}")
+    pf = _as_float_probability(p)
     if pf < TRANSFORM_MIN_P:
         raise ValueError(f"the transform needs p >= {TRANSFORM_MIN_P:g}, got p = {pf!r}")
     if n == 1:

@@ -216,9 +216,8 @@ class _Windows(NamedTuple):
     Window k belongs to sequence row[k]: it runs from start[k] to end[k],
     is of kind A where is_a[k] (else B), has tau_end[k] (-1 for none) and
     is closed where complete[k].  A sequence's windows are consecutive and
-    in order, and so are the sequences.  Sequence r has length[r] flips,
-    its first head at first[r] (0 for none), and a trailing head where
-    trailing[r].
+    in order, and so are the sequences.  Sequence r has its first head at
+    first[r] (0 for none).
     """
 
     row: np.ndarray
@@ -227,9 +226,7 @@ class _Windows(NamedTuple):
     is_a: np.ndarray
     tau_end: np.ndarray
     complete: np.ndarray
-    length: np.ndarray
     first: np.ndarray
-    trailing: np.ndarray
 
 
 def _level_dtype(cells: int) -> type:
@@ -249,8 +246,7 @@ def _window_table(seqs: list[FlipSequence]) -> _Windows:
     window opened at a renewal head e ends at the next renewal head, and
     is closed, or is open up to flip n; its kind is flip e + 1 (H: A), and
     an A window's tau_end is the next level-0 flip z after e if z is in
-    the window.  A renewal head on flip n opens no window: it is a
-    trailing head.
+    the window.  A renewal head on flip n opens no window.
     """
     rows = len(seqs)
     width = max(s.length + 7 for s in seqs) // 8
@@ -281,15 +277,12 @@ def _window_table(seqs: list[FlipSequence]) -> _Windows:
     # first renewal head is its first head.  One row skips the split into rows.
     if rows == 1:
         n = seqs[0].length
-        length = np.array([n])
         first = np.zeros(1, np.intp)
-        trailing = np.zeros(1, bool)
         if e.size:
             if not e[-1] < z[-1] <= n:
                 z[-1] = -1
             first[0] = e[0]
-            trailing[0] = e[-1] == n
-        windows = slice(e.size - int(trailing[0]))
+        windows = slice(e.size - int(e.size > 0 and e[-1] == n))
         row = np.zeros(windows.stop, np.intp)
     else:
         length = np.fromiter([s.length for s in seqs], np.intp, rows)
@@ -306,18 +299,19 @@ def _window_table(seqs: list[FlipSequence]) -> _Windows:
         np.not_equal(row[1:], row[:-1], out=opens[1:])
         first[row[opens]] = e[opens]
         windows = e < n
-        trailing = np.zeros(rows, bool)
-        trailing[row[~windows]] = True
         row, n = row[windows], n[windows]
     e, z, nxt, is_a = e[windows], z[windows], nxt[windows], is_a[windows]
     complete = nxt <= n
     end = np.minimum(nxt, n)
     tau_end = np.where(is_a, z, -1)
-    return _Windows(row, e, end, is_a, tau_end, complete, length, first, trailing)
+    return _Windows(row, e, end, is_a, tau_end, complete, first)
 
 
 def _materialise(seqs: list[FlipSequence], table: _Windows) -> list[Decomposition]:
-    """The Decomposition of each of seqs from its rows of the window table."""
+    """The Decomposition of each of seqs from its rows of the window table.
+
+    A parse with a first head ends on a renewal head, its trailing head,
+    when it has no window or its last window closed."""
     counts = np.bincount(table.row, minlength=len(seqs)).tolist()
     fields = zip(
         table.start.tolist(),
@@ -335,14 +329,15 @@ def _materialise(seqs: list[FlipSequence], table: _Windows) -> list[Decompositio
     )
     parses = []
     hi = 0
-    for seq, count, first, tail in zip(seqs, counts, table.first.tolist(), table.trailing.tolist()):
+    for seq, count, first in zip(seqs, counts, table.first.tolist()):
         if not first:
             parses.append(Decomposition(seq, None, (), None))
             continue
-        n = seq.length
-        trailing = Slot(n, n, SlotKind.UNDETERMINED, None, False) if tail else None
         lo, hi = hi, hi + count
-        parses.append(Decomposition(seq, first, slots[lo:hi], trailing))
+        windows, n = slots[lo:hi], seq.length
+        tail = not windows or windows[-1].complete
+        trailing = Slot(n, n, SlotKind.UNDETERMINED, None, False) if tail else None
+        parses.append(Decomposition(seq, first, windows, trailing))
     return parses
 
 

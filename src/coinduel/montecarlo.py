@@ -23,9 +23,10 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
+
+from .rational import _as_float_probability
 
 # games per seeded substream
 BATCH_SIZE = 4096
@@ -41,6 +42,8 @@ _DIGITS_PER_ROUND = 8
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One run; p in (0, 1), a Fraction say, is kept and simulated as its nearest float."""
+
     n: int
     trials: int
     seed: int
@@ -51,8 +54,7 @@ class SimConfig:
             raise ValueError("n must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"p must satisfy 0 < p < 1, got {self.p}")
+        object.__setattr__(self, "p", _as_float_probability(self.p))
 
 
 @dataclass(frozen=True)
@@ -85,8 +87,8 @@ def _bernoulli_words(rng: np.random.Generator, count: int, p: float) -> np.ndarr
     """`count` uint64 words whose 64 bit lanes are independent Bernoulli(p) flips.
 
     Lane j of a word is 1 iff U < p, comparing U's binary digits, which are
-    lane j of successive raw words, with p's, which come exactly from
-    Fraction(p) (Knuth & Yao, 1976). A lane leaves the level at its first
+    lane j of successive raw words, with p's, which are the finite binary
+    expansion of the float p (Knuth & Yao, 1976). A lane leaves the level at its first
     digit that differs from p's: below p, a head, where that digit is 0.
     Lanes still level when p's digits run out have U >= p: tails. The digits
     are read in rounds of up to _DIGITS_PER_ROUND; a round draws one raw word
@@ -94,7 +96,7 @@ def _bernoulli_words(rng: np.random.Generator, count: int, p: float) -> np.ndarr
     found once a round, not once a digit. At p = 1/2 that is one raw word per
     64 flips; at p = 3/5 about ten.
     """
-    num, den = Fraction(p).as_integer_ratio()  # den is a power of two
+    num, den = float(p).as_integer_ratio()  # a float's den is a power of two
     digits = format(num, f"0{den.bit_length() - 1}b").rstrip("0")
     level = np.full(count, 2**64 - 1, dtype=np.uint64)  # the lanes still level with p
     for start in range(0, len(digits), _DIGITS_PER_ROUND):

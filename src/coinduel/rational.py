@@ -64,6 +64,16 @@ def _as_probability(p) -> Fraction:
     return p
 
 
+def _as_float_probability(p) -> float:
+    """The float nearest to p, at which the float solvers and the simulator run."""
+    pf = float(p)
+    if 0.0 < pf < 1.0:
+        return pf
+    if 0 < p < 1:
+        raise ValueError(f"p is inside (0, 1), but its nearest float is {pf!r}")
+    raise ValueError(f"p must satisfy 0 < p < 1, got {p}")
+
+
 def _dp_probability(n: int, p) -> Fraction:
     """p as a Fraction, once the DP to step n at p fits DP_EXACT_MAX_BITS."""
     p = _as_probability(p)
@@ -129,7 +139,7 @@ def dp_distribution(n: int, p=Fraction(1, 2)) -> ExactDistribution:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > DP_EXACT_MAX_N:
-        raise ValueError(f"exact mode is capped at n = {DP_EXACT_MAX_N}")
+        raise ValueError(f"the exact DP is capped at n = {DP_EXACT_MAX_N}")
     p = _dp_probability(n, p)
     for _, below, equal, above in _dp_scan(n, p):
         pass

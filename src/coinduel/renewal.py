@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator
 
 ASYMPTOTIC_C = 0.5 / math.sqrt(math.pi)  # 1/(2*sqrt(pi)) ~ 0.28209479
 
@@ -140,15 +140,11 @@ def count_rx(m: int) -> int:
     return next(itertools.islice(_count_rx_terms(), m - 1, None))
 
 
-def pi(m: int, mode: str = "exact") -> Union[Fraction, float]:
+def pi(m: int) -> Fraction:
     """Probability that epoch m is a renewal time: 2^(1-m) count_rx(m)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if mode == "exact":
-        return Fraction(count_rx(m), 1 << (m - 1))
-    if mode == "float":
-        return next(itertools.islice(_pi_float_terms(), m - 1, None))
-    raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
+    return Fraction(count_rx(m), 1 << (m - 1))
 
 
 def renewal_diff(n: int) -> Fraction:
@@ -211,16 +207,14 @@ class RenewalTable:
     m_from: int
     m_to: int
     counts: tuple[int, ...]
-    pis: tuple[Fraction, ...]
 
-    def rows(self):
-        for i, m in enumerate(range(self.m_from, self.m_to + 1)):
-            yield m, self.counts[i], self.pis[i]
+    def rows(self) -> Iterator[tuple[int, int, Fraction]]:
+        """(m, count_rx(m), pi(m)) for each m of the range."""
+        for m, count in enumerate(self.counts, start=self.m_from):
+            yield m, count, Fraction(count, 1 << (m - 1))
 
 
 def renewal_table(m_from: int, m_to: int) -> RenewalTable:
     if not 1 <= m_from <= m_to:
         raise ValueError("need 1 <= m_from <= m_to")
-    counts = tuple(itertools.islice(_count_rx_terms(), m_from - 1, m_to))
-    pis = tuple(Fraction(c, 1 << (m - 1)) for m, c in enumerate(counts, start=m_from))
-    return RenewalTable(m_from, m_to, counts, pis)
+    return RenewalTable(m_from, m_to, tuple(itertools.islice(_count_rx_terms(), m_from - 1, m_to)))

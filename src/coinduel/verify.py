@@ -27,14 +27,7 @@ from .core import (
     score_series,
     score_via_runs,
 )
-from .exact import (
-    _dp_scan,
-    _omega_scores,
-    dp_distribution,
-    dp_float_series,
-    enumerate_distribution,
-    transform_distribution,
-)
+from .exact import _omega_scores, dp_float_series, enumerate_distribution, transform_distribution
 from .excursions import (
     Decomposition,
     ExcursionKind,
@@ -50,7 +43,8 @@ from .excursions import (
     _Windows,
 )
 from .montecarlo import BATCH_SIZE, SimConfig, _flip_blocks, _substream, simulate_game
-from .renewal import ASYMPTOTIC_C, asymptotics, count_rx, fair_scan, pi, renewal_diff
+from .rational import _dp_scan, dp_distribution
+from .renewal import ASYMPTOTIC_C, _pi_float_terms, asymptotics, count_rx, fair_scan, renewal_diff
 
 _Check = Callable[[], tuple[bool, str]]
 
@@ -253,7 +247,7 @@ def _parse_fault(table: _Windows, flips: np.ndarray, levels: np.ndarray) -> tupl
     table is taken as the window table of the rows, whose flips (heads = 1)
     and running scores S_1..S_n are the rows of flips and levels.  Together
     these conditions admit only the greedy parse:
-    - length and first head are the sequence's;
+    - the first head is the sequence's;
     - the windows belong to the rows in order and tile [first head, n]:
       each starts on the head that closed the one before, and only the
       last may be open;
@@ -262,13 +256,11 @@ def _parse_fault(table: _Windows, flips: np.ndarray, levels: np.ndarray) -> tupl
       one returns to it;
     - an A-part stays strictly below its start level inside and closes at
       it, and an open A window without one stays below up to flip n;
-    - the padding after an A-part is all T, and a closed window ends in H;
-    - a trailing head is recorded exactly when the last window closed on
-      flip n (or the first head is flip n).
-    The table has no field for the rest of a Decomposition: a kind that is
-    neither A nor B and the trailing slot's fields.  Those come from the
-    materialiser (excursions._materialise), whose parses parser-paths-agree
-    holds equal to the flip-by-flip _decompose_reference.
+    - the padding after an A-part is all T, and a closed window ends in H.
+    The table has no field for the rest of a Decomposition: the sequence, a
+    kind that is neither A nor B, and the trailing slot.  Those come from
+    the materialiser (excursions._materialise), whose parses
+    parser-paths-agree holds equal to the flip-by-flip _decompose_reference.
     """
     rows, n = flips.shape
     faults: list[tuple[int, str]] = []
@@ -281,7 +273,6 @@ def _parse_fault(table: _Windows, flips: np.ndarray, levels: np.ndarray) -> tupl
     heads = flips.view(bool)  # as bools, argmax stops at a row's first head
     has_head = heads.any(axis=1)
     first = np.where(has_head, heads.argmax(axis=1) + 1, 0)
-    need(table.length == n, row_ids, "wrong length")
     need(table.first == first, row_ids, "wrong first head")
 
     start, end, is_a, tau, complete = table.start, table.end, table.is_a, table.tau_end, table.complete
@@ -308,9 +299,6 @@ def _parse_fault(table: _Windows, flips: np.ndarray, levels: np.ndarray) -> tupl
     row_end = first.copy()
     row_end[row[lasts]] = end[lasts]
     need(~has_head | (row_end == n), row_ids, "the windows stop before flip n")
-    last_closed = np.ones(rows, bool)
-    last_closed[row[lasts]] = complete[lasts]
-    need(table.trailing == (has_head & last_closed), row_ids, "wrong trailing head")
     if faults or not m:
         return min(faults, key=itemgetter(0), default=None)
 
@@ -379,9 +367,9 @@ def _check_interior_scores() -> tuple[bool, str]:
     # byte (mod 256) would meet false level-0 flips: at head probability
     # 0.8 every length-2000 sequence spans 256 levels or more.  A drifting
     # parse almost never ends on a closed window, so the short sequences
-    # cover the trailing-head rule.  Both head probabilities draw from seed
-    # 106, so they share their first raw words: the two samples are
-    # coupled, and each alone has its exact law.
+    # cover the last windows that close on flip n.  Both head probabilities
+    # draw from seed 106, so they share their first raw words: the two
+    # samples are coupled, and each alone has its exact law.
     count, length, short = 250, 2000, 8
     lengths = np.full(count, length)
     biased = ((p, *b) for p in (0.2, 0.8) for b in _random_blocks(106, lengths, p))
@@ -612,9 +600,12 @@ def _check_count_rx_brute_force() -> tuple[bool, str]:
 
 
 def _check_pi_asymptotics() -> tuple[bool, str]:
+    # one pass of the float recurrence to 10^5, kept at four epochs
+    marks = (10**2, 10**3, 10**4, 10**5)
     deviations = [
-        abs(pi(m, mode="float") * math.sqrt(m) / ASYMPTOTIC_C - 1.0)
-        for m in (10**2, 10**3, 10**4, 10**5)
+        abs(u * math.sqrt(m) / ASYMPTOTIC_C - 1.0)
+        for m, u in zip(range(1, marks[-1] + 1), _pi_float_terms())
+        if m in marks
     ]
     if not all(x > y for x, y in zip(deviations, deviations[1:])):
         return False, f"deviations not decreasing: {deviations}"

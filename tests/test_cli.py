@@ -386,6 +386,33 @@ class TestExitCodes:
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr == "error: the transform needs p >= 1e-150, got p = 1e-300\n"
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            # p is inside (0, 1) in each, but its float rounds to 0 or 1
+            (["dp", "--n", "100", "--mode", "float", "--p", "1e-400"], "nearest float is 0.0"),
+            (
+                ["dp", "--n", "100", "--mode", "float", "--p", "0.99999999999999999999"],
+                "nearest float is 1.0",
+            ),
+            (
+                ["mc", "--n", "10", "--trials", "5", "--seed", "1", "--p", "1e-400"],
+                "nearest float is 0.0",
+            ),
+        ],
+    )
+    def test_p_whose_float_is_not_a_probability_is_one(self, args, message, capsys):
+        from coinduel.cli import dispatch
+
+        assert dispatch(args) == 1
+        assert capsys.readouterr() == ("", f"error: p is inside (0, 1), but its {message}\n")
+
+    def test_exact_dp_cap_is_one(self, capsys):
+        from coinduel.cli import dispatch
+
+        assert dispatch(["diff", "--method", "dp", "--n", "5000"]) == 1
+        assert capsys.readouterr() == ("", "error: the exact DP is capped at n = 4096\n")
+
     def test_table_cap_is_one(self, capsys):
         from coinduel.cli import dispatch
         from coinduel.exact import DP_FLOAT_MAX_N
@@ -396,9 +423,10 @@ class TestExitCodes:
         assert err.startswith("error:") and str(DP_FLOAT_MAX_N) in err and "2 s" in err
 
 
-# the pass details of the core and excursions checks hold only integers and
-# text, all of them fixed by seeded raw PCG64 words, so they read the same on
-# every platform and numpy version: a change to a check's draws shows here
+# these pass details hold only integers and text, fixed by seeded raw PCG64
+# words or by exact arithmetic, or, for the pi check, floats of a recurrence
+# in plain IEEE doubles at fixed formatting, so they read the same on every
+# platform and numpy version: a change to a check's draws or bounds shows here
 PINNED_DETAILS = {
     "core.runs-formula-matches-score-series": (
         "231070 sequences (exhaustive to length 16 plus 10^5 random)"
@@ -427,6 +455,23 @@ PINNED_DETAILS = {
     "excursions.parser-paths-agree": (
         "decompose equals the flip-by-flip reference, exhaustive to length 12 "
         "plus 2000 random sequences"
+    ),
+    "exact.dp-matches-enumeration": "DP equals enumeration for n <= 20, p in {1/2, 1/3, 2/3}",
+    "exact.strict-ordering-from-n-3": "pB > pA exactly, for all 3 <= n <= 2000",
+    "exact.equality-at-n-1-2": "pA = pB at n in {1, 2}",
+    "renewal.bridge-identity-convolution-vs-dp": (
+        "recurrence law equals DP law exactly for n <= 2000; "
+        "renewal convolution equals DP difference, 3 <= n <= 200"
+    ),
+    "renewal.count-closed-form-vs-brute-force": (
+        "recurrence count matches exhaustive scans for m <= 24 "
+        "and the binomial closed form for m <= 300"
+    ),
+    "renewal.pi-sqrt-m-approaches-c": (
+        "pi_m sqrt(m)/c deviation falls 5.6e-03 -> 5.6e-06 over m = 10^2..10^5"
+    ),
+    "renewal.asymptotic-report-identities": (
+        "scaling identities hold (deficit sum within one ulp of tie)"
     ),
 }
 
@@ -472,23 +517,6 @@ class TestVerifySubcommand:
 
 
 class TestImport:
-    def test_cli_import_leaves_scipy_unloaded(self):
-        # scipy is not a dependency: float pi runs on the count_rx
-        # recurrence, so neither the import nor the renewal paths load it
-        code = (
-            "import sys\n"
-            "from coinduel.cli import dispatch\n"
-            "print('scipy' in sys.modules)\n"
-            "from coinduel.renewal import pi\n"
-            "pi(10**4, mode='float')\n"
-            "assert dispatch(['renewal', '--m-to', '50']) == 0\n"
-            "print('scipy' in sys.modules)\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        lines = proc.stdout.splitlines()
-        assert (lines[0], lines[-1]) == ("False", "False")
-
     def test_exact_routes_leave_numpy_unloaded(self):
         # dp --mode exact, diff by dp or renewal, renewal, asym and table up
         # to n = 4096 are integer and rational arithmetic: neither they nor

@@ -20,14 +20,14 @@ from coinduel import (
 )
 from coinduel import exact
 from coinduel.exact import (
+    DP_FLOAT_MAX_N,
     _dp_float_bands,
-    _dp_scan,
     _fft_length,
     _float_sign_sums,
     _omega_scores,
     _saddle_tilt,
 )
-from coinduel.rational import DP_EXACT_MAX_BITS, _dp_probability
+from coinduel.rational import DP_EXACT_MAX_BITS, _dp_probability, _dp_scan
 from coinduel.renewal import fair_scan
 
 probs = st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100))
@@ -257,6 +257,14 @@ class TestDPFloat:
             dp_float_series(10, 0.0)
         with pytest.raises(ValueError):
             dp_float_series(10, 1.0)
+
+    def test_cap_rejects_before_allocating(self, monkeypatch):
+        # the DP is O(n^2): at n = 10^6 it would run for about 40 minutes.
+        # With numpy out of reach, an array built before the check would
+        # raise AttributeError instead
+        monkeypatch.setattr(exact, "np", None)
+        with pytest.raises(ValueError, match=f"capped at n = {DP_FLOAT_MAX_N}, where it takes 2 s"):
+            dp_float_series(DP_FLOAT_MAX_N + 1)
 
 
 def float_dp_law(n: int, p: float) -> tuple[float, float, float]:

@@ -153,11 +153,27 @@ class TestValidation:
             dict(n=5, trials=10, seed=1, p=0.0),
             dict(n=5, trials=10, seed=1, p=1.0),
             dict(n=5, trials=10, seed=1, p=math.nan),
+            # inside (0, 1), but its nearest float is 0
+            dict(n=5, trials=10, seed=1, p=Fraction(1, 10**400)),
         ],
     )
     def test_bad_config(self, kw):
         with pytest.raises(ValueError):
             SimConfig(**kw)
+
+    def test_fraction_p_runs_at_its_nearest_float(self):
+        # 1/3 has no finite binary expansion, which the sampler needs: the
+        # game runs at, and reports, float(1/3), not a p misread as 1/2
+        n, trials = 20, 10**4
+        config = SimConfig(n=n, trials=trials, seed=1, p=Fraction(1, 3))
+        assert type(config.p) is float and config.p == 1 / 3
+        r = simulate_game(config)
+        assert r == run(n, trials, 1, p=1 / 3)
+        q = float(dp_distribution(n, Fraction(1 / 3)).pA)  # about 0.105; 0.405 at p = 1/2
+        assert r.p == 1 / 3 and abs(r.pA - q) <= 4 * math.sqrt(q * (1 - q) / trials)
+        # the sampler itself reads any p as its float
+        words = [_bernoulli_words(_substream(1), 64, p) for p in (Fraction(1, 3), 1 / 3)]
+        assert np.array_equal(*words)
 
     def test_result_is_frozen(self):
         r = run(3, 10, 1)

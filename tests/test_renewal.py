@@ -16,7 +16,7 @@ from coinduel import (
     renewal_diff,
     renewal_table,
 )
-from coinduel.exact import _dp_scan
+from coinduel.rational import _dp_scan
 from coinduel.renewal import (
     _count_rx_terms,
     _pi_float_terms,
@@ -133,22 +133,21 @@ class TestPi:
         assert pi(2) == Fraction(0)
 
     def test_float_mode_follows_exact(self):
-        # one pass for each side: pi(m) per m would be quadratic
-        exact = [float(p) for p in renewal_table(1, 10**4).pis]
+        # the float recurrence against the exact pi, one pass for each side:
+        # pi(m) per m would be quadratic
+        exact = [float(pi_m) for _, _, pi_m in renewal_table(1, 10**4).rows()]
         approx = list(itertools.islice(_pi_float_terms(), 10**4))
-        for m in (1, 2, 3, 4, 5, 6, 7, 8, 999, 10**4):
-            assert pi(m, mode="float") == approx[m - 1], m
         assert approx[:8] == exact[:8]
         for m in range(3, 10**4 + 1):
             assert abs(approx[m - 1] - exact[m - 1]) <= 1e-13 * exact[m - 1], m
 
     def test_float_mode_zero_below_three(self):
-        assert pi(1, mode="float") == 0.0
-        assert pi(2, mode="float") == 0.0
+        assert list(itertools.islice(_pi_float_terms(), 2)) == [0.0, 0.0]
 
     def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            pi(5, mode="rational")
+        # pi is exact only: the float values come from _pi_float_terms
+        with pytest.raises(TypeError):
+            pi(5, mode="float")
 
     def test_values_are_probabilities(self):
         # pi(m) ~ c/sqrt(m), so the per-epoch values shrink but their sum

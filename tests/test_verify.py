@@ -145,7 +145,6 @@ WRONG_PARSES = {
     "tau_end + 1": _tau_moved(1),
     "tau_end - 1": _tau_moved(-1),
     "complete flipped": _complete_flipped,
-    "trailing dropped": lambda t: t._replace(trailing=np.zeros_like(t.trailing)),
     "every window scrambled": _scramble,
     "an A window swallows the next": _swallow_next,
 }
@@ -166,7 +165,7 @@ def test_round_trip_checks_its_random_sequences(monkeypatch):
 
     def wrong_when_long(seqs):
         table = real(seqs)
-        return WRONG_PARSES["complete flipped"](table) if table.length.min() == 1000 else table
+        return WRONG_PARSES["complete flipped"](table) if seqs[0].length == 1000 else table
 
     monkeypatch.setattr(verify, "_window_table", wrong_when_long)
     assert verify._check_round_trip() == (
@@ -191,18 +190,19 @@ def _slot(start, end, kind, tau_end, complete):
     return Slot(start, end, SlotKind(kind), tau_end, complete)
 
 
-def _parse(text, slots, trailing):
-    """A parse of text with the given windows, as (start, end, kind, tau_end, complete)."""
+def _parse(text, slots, trailing, length=None):
+    """A parse of text with the given windows, as (start, end, kind, tau_end,
+    complete); with a length, of text padded with tails to that length."""
     seq = parse_sequence(text)
     return seq, Decomposition(
-        sequence=seq,
+        sequence=FlipSequence(seq.bits, length or seq.length),
         first_head_pos=text.find("H") + 1,
         slots=tuple(_slot(*s) for s in slots),
         trailing=_slot(seq.length, seq.length, "Undetermined", None, False) if trailing else None,
     )
 
 
-def _table(text, slots, trailing, **fields):
+def _table(text, slots, first_head_pos=None):
     """The window table of one row of the same parse as _parse."""
     start, end, kind, tau, complete = zip(*slots)
     return excursions._Windows(
@@ -212,9 +212,7 @@ def _table(text, slots, trailing, **fields):
         is_a=np.array(kind) == "A",
         tau_end=np.array([-1 if t is None else t for t in tau]),
         complete=np.array(complete),
-        length=np.array([fields.get("length", len(text))]),
-        first=np.array([fields.get("first_head_pos", text.find("H") + 1)]),
-        trailing=np.array([trailing]),
+        first=np.array([first_head_pos or text.find("H") + 1]),
     )
 
 
@@ -223,9 +221,10 @@ def _as_reference(seq, decomp):
     return decomp == verify._decompose_reference(seq)
 
 
-# a window table has no field for this: the materialiser builds it, and is
-# held to the flip-by-flip parse (parser-paths-agree, tests/test_excursions.py)
-_OBJECT_RULES = {"a window is neither A nor B"}
+# a window table has no field for these: the materialiser takes the sequence,
+# and so its length, as input and builds the kinds and the trailing slot, and
+# it is held to the flip-by-flip parse (parser-paths-agree, tests/test_excursions.py)
+_OBJECT_RULES = {"wrong length", "a window is neither A nor B", "wrong trailing head"}
 
 
 # HTHHHTTH parses as B(1, 4) and an A window (4, 8) whose A-part ends at 6
@@ -312,12 +311,12 @@ def test_parse_fault_names_each_broken_rule(text, slots, trailing, fields, reaso
     seq = parse_sequence(text)
     if reason in _OBJECT_RULES:
         assert _as_reference(seq, decompose(seq))
-        assert not _as_reference(*_parse(text, slots, trailing))
+        assert not _as_reference(seq, _parse(text, slots, trailing, **fields)[1])
         return
     flips = np.array([[c == "H" for c in text]], dtype=np.uint8)
     levels = verify._levels(flips)
     assert verify._parse_fault(excursions._window_table([seq]), flips, levels) is None
-    assert verify._parse_fault(_table(text, slots, trailing, **fields), flips, levels) == (0, reason)
+    assert verify._parse_fault(_table(text, slots, **fields), flips, levels) == (0, reason)
 
 
 @pytest.mark.parametrize(
@@ -333,6 +332,18 @@ def test_materialiser_oracle_rejects_a_wrong_object(wrong):
     right = decompose(seq)
     assert _as_reference(seq, right)
     assert not _as_reference(seq, wrong(right))
+
+
+def test_parser_paths_agree_rejects_a_dropped_trailing_head(monkeypatch):
+    # the window table has no trailing column: the materialiser derives the
+    # slot, and parser-paths-agree holds it to the flip-by-flip parse
+    real = excursions._materialise
+
+    def dropped(seqs, table):
+        return [dataclasses.replace(d, trailing=None) for d in real(seqs, table)]
+
+    monkeypatch.setattr(excursions, "_materialise", dropped)
+    assert verify._check_parser_equivalence() == (False, "parsers disagree at H")
 
 
 def test_window_table_rejects_rows_out_of_order():
