@@ -140,6 +140,15 @@ def _swallow_next(table):
     )
 
 
+def _trailing_dropped(table):
+    # a row whose last window closed ends on its trailing head, on flip n:
+    # reopening that window leaves the materialiser no trailing slot
+    row = table.row
+    last = np.ones_like(table.complete)
+    last[:-1] = row[1:] != row[:-1]
+    return table._replace(complete=table.complete & ~last)
+
+
 WRONG_PARSES = {
     "kind swapped": _kind_swapped,
     "tau_end + 1": _tau_moved(1),
@@ -147,6 +156,7 @@ WRONG_PARSES = {
     "complete flipped": _complete_flipped,
     "every window scrambled": _scramble,
     "an A window swallows the next": _swallow_next,
+    "trailing dropped": _trailing_dropped,
 }
 
 
