@@ -31,6 +31,7 @@ that needs a numpy module imports it when it runs: `exact` for `exact`,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -67,10 +68,27 @@ def _json_text(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+@contextlib.contextmanager
+def _exact_output():
+    """Lift Python's limit on the digits of an int written as text (4300 by
+    default) while a command writes its answer, which is exact at any
+    length, and restore it after; reading --p keeps the limit."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 if none, before 3.10.7
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+@_exact_output()
 def _emit(record: dict) -> None:
     print(_json_text(record))
 
 
+@_exact_output()
 def _print_csv(columns: tuple[str, ...], rows) -> None:
     """A header of columns, then one line per row dict; rationals as num/den."""
     print(",".join(columns))

@@ -30,6 +30,7 @@ table itself.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -96,20 +97,31 @@ class Decomposition:
     """Renewal parse of a sequence: initial tailrun, first head, windows.
 
     sequence is the parsed sequence itself, and the windows' flips are read
-    from it.  trailing is only populated when the sequence stops exactly on
-    a renewal head, i.e. a final window of which only the head has been
-    seen; a partially scanned window of known kind stays in slots with
-    complete=False.
+    from it; every other part of the parse is read off the two fields.
     """
 
     sequence: FlipSequence = field(repr=False)
-    first_head_pos: int | None
     slots: tuple[Slot, ...]
-    trailing: Slot | None
 
     @property
     def length(self) -> int:
         return self.sequence.length
+
+    @property
+    def first_head_pos(self) -> int | None:
+        """The lowest head of the sequence, or None if it is all tails."""
+        bits = self.sequence.bits
+        return (bits & -bits).bit_length() or None
+
+    @property
+    def trailing(self) -> Slot | None:
+        """Flip n alone, if the parse ends on a renewal head there: if it has
+        a head and either no window or a closed last window.  A partly
+        scanned window of known kind stays in slots with complete=False."""
+        if not self.sequence.bits or self.slots and not self.slots[-1].complete:
+            return None
+        n = self.length
+        return Slot(n, n, SlotKind.UNDETERMINED, None, False)
 
     @property
     def initial_tailrun_len(self) -> int:
@@ -216,8 +228,7 @@ class _Windows(NamedTuple):
     Window k belongs to sequence row[k]: it runs from start[k] to end[k],
     is of kind A where is_a[k] (else B), has tau_end[k] (-1 for none) and
     is closed where complete[k].  A sequence's windows are consecutive and
-    in order, and so are the sequences.  Sequence r has its first head at
-    first[r] (0 for none).
+    in order, and so are the sequences.
     """
 
     row: np.ndarray
@@ -226,7 +237,6 @@ class _Windows(NamedTuple):
     is_a: np.ndarray
     tau_end: np.ndarray
     complete: np.ndarray
-    first: np.ndarray
 
 
 def _level_dtype(cells: int) -> type:
@@ -273,15 +283,12 @@ def _window_table(seqs: list[FlipSequence]) -> _Windows:
     nxt[-1:] = cols + 1
     # positions in the head's own row: nxt is the next renewal head (past
     # flip n if there is none), z is -1 where no level-0 flip follows up to
-    # flip n, and the windows are the renewal heads before flip n; a row's
-    # first renewal head is its first head.  One row skips the split into rows.
+    # flip n, and the windows are the renewal heads before flip n.  One row
+    # skips the split into rows.
     if rows == 1:
         n = seqs[0].length
-        first = np.zeros(1, np.intp)
-        if e.size:
-            if not e[-1] < z[-1] <= n:
-                z[-1] = -1
-            first[0] = e[0]
+        if e.size and not e[-1] < z[-1] <= n:
+            z[-1] = -1
         windows = slice(e.size - int(e.size > 0 and e[-1] == n))
         row = np.zeros(windows.stop, np.intp)
     else:
@@ -293,25 +300,17 @@ def _window_table(seqs: list[FlipSequence]) -> _Windows:
         nxt[:-1] -= shift[:-1]
         n = length[row]
         z[(z <= e) | (z > n)] = -1
-        first = np.zeros(rows, np.intp)
-        opens = np.empty(row.size, bool)
-        opens[:1] = True
-        np.not_equal(row[1:], row[:-1], out=opens[1:])
-        first[row[opens]] = e[opens]
         windows = e < n
         row, n = row[windows], n[windows]
     e, z, nxt, is_a = e[windows], z[windows], nxt[windows], is_a[windows]
     complete = nxt <= n
     end = np.minimum(nxt, n)
     tau_end = np.where(is_a, z, -1)
-    return _Windows(row, e, end, is_a, tau_end, complete, first)
+    return _Windows(row, e, end, is_a, tau_end, complete)
 
 
 def _materialise(seqs: list[FlipSequence], table: _Windows) -> list[Decomposition]:
-    """The Decomposition of each of seqs from its rows of the window table.
-
-    A parse with a first head ends on a renewal head, its trailing head,
-    when it has no window or its last window closed."""
+    """The Decomposition of each of seqs from its rows of the window table."""
     counts = np.bincount(table.row, minlength=len(seqs)).tolist()
     fields = zip(
         table.start.tolist(),
@@ -327,18 +326,8 @@ def _materialise(seqs: list[FlipSequence], table: _Windows) -> list[Decompositio
             for start, end, is_a, tau, closed in fields
         ]
     )
-    parses = []
-    hi = 0
-    for seq, count, first in zip(seqs, counts, table.first.tolist()):
-        if not first:
-            parses.append(Decomposition(seq, None, (), None))
-            continue
-        lo, hi = hi, hi + count
-        windows, n = slots[lo:hi], seq.length
-        tail = not windows or windows[-1].complete
-        trailing = Slot(n, n, SlotKind.UNDETERMINED, None, False) if tail else None
-        parses.append(Decomposition(seq, first, windows, trailing))
-    return parses
+    ends = itertools.accumulate(counts)
+    return [Decomposition(s, slots[hi - k : hi]) for s, k, hi in zip(seqs, counts, ends)]
 
 
 def decompose_many(seqs: Iterable[FlipSequence]) -> list[Decomposition]:
@@ -387,7 +376,8 @@ def position_class(decomp: Decomposition, pos: int) -> PositionClass:
     """Classify a 1-based position against an existing parse."""
     if not 1 <= pos <= decomp.length:
         raise IndexError(f"position {pos} outside 1..{decomp.length}")
-    if decomp.first_head_pos is None or pos <= decomp.first_head_pos:
+    # with no head, every position is in the initial tailrun
+    if pos <= (decomp.first_head_pos or decomp.length):
         return PositionClass.INITIAL_TAILRUN
     # windows tile (first_head_pos, length]; ends are strictly increasing
     slot = decomp.slots[bisect_left(decomp.slots, pos, key=attrgetter("end_index"))]

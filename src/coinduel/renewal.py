@@ -127,13 +127,13 @@ def _pi_float_terms() -> Iterator[float]:
         yield u_m
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=0)  # stores nothing; perfbench/run.py calls cache_clear/cache_info
 def count_rx(m: int) -> int:
     """Number of sequences in Omega_m that end HT with score 0.
 
-    Read off _count_rx_terms, the recurrence from the generating function;
-    the binomial sum it comes from stays in the verify registry as an oracle.
-    The last 1024 point values asked for are memoised.
+    Read off _count_rx_terms, the recurrence from the generating function,
+    in one pass per call; the binomial sum it comes from stays in the verify
+    registry as an oracle.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -153,10 +153,10 @@ def renewal_diff(n: int) -> Fraction:
     The convolution sum over k = 0..n-3 of (1/2)^(k+1) pi(n-k) puts every
     term over 2^n, so it is the integer prefix sum of count_rx(3..n) over
     2^n, streamed here term by term; agrees with the exact DP difference as
-    a rational identity.
+    a rational identity.  Below n = 3 the sum is empty, and 0 is pB - pA.
     """
-    if n < 3:
-        raise ValueError("the convolution is empty below n = 3")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     return Fraction(sum(itertools.islice(_count_rx_terms(), n)), 1 << n)
 
 

@@ -247,7 +247,6 @@ def _parse_fault(table: _Windows, flips: np.ndarray, levels: np.ndarray) -> tupl
     table is taken as the window table of the rows, whose flips (heads = 1)
     and running scores S_1..S_n are the rows of flips and levels.  Together
     these conditions admit only the greedy parse:
-    - the first head is the sequence's;
     - the windows belong to the rows in order and tile [first head, n]:
       each starts on the head that closed the one before, and only the
       last may be open;
@@ -257,10 +256,11 @@ def _parse_fault(table: _Windows, flips: np.ndarray, levels: np.ndarray) -> tupl
     - an A-part stays strictly below its start level inside and closes at
       it, and an open A window without one stays below up to flip n;
     - the padding after an A-part is all T, and a closed window ends in H.
-    The table has no field for the rest of a Decomposition: the sequence, a
-    kind that is neither A nor B, and the trailing slot.  Those come from
-    the materialiser (excursions._materialise), whose parses
-    parser-paths-agree holds equal to the flip-by-flip _decompose_reference.
+    The table has no field for the rest of a Decomposition: the sequence and
+    a kind that is neither A nor B.  Those come from the materialiser
+    (excursions._materialise), whose parses parser-paths-agree holds equal
+    to the flip-by-flip _decompose_reference; the first head and the
+    trailing slot are read off the sequence and the windows.
     """
     rows, n = flips.shape
     faults: list[tuple[int, str]] = []
@@ -273,7 +273,6 @@ def _parse_fault(table: _Windows, flips: np.ndarray, levels: np.ndarray) -> tupl
     heads = flips.view(bool)  # as bools, argmax stops at a row's first head
     has_head = heads.any(axis=1)
     first = np.where(has_head, heads.argmax(axis=1) + 1, 0)
-    need(table.first == first, row_ids, "wrong first head")
 
     start, end, is_a, tau, complete = table.start, table.end, table.is_a, table.tau_end, table.complete
     m = start.size
@@ -396,23 +395,9 @@ def _check_interior_scores() -> tuple[bool, str]:
 def _decompose_reference(seq: FlipSequence) -> Decomposition:
     """The renewal parse walked flip by flip: the oracle for decompose."""
     bits, n = seq.bits, seq.length
-    first_head = 0
-    b = bits
-    for pos in range(1, n + 1):
-        if b & 1:
-            first_head = pos
-            break
-        b >>= 1
-    if not first_head:
-        return Decomposition(seq, None, (), None)
-
     slots: list[Slot] = []
-    trailing = None
-    e = first_head
-    while True:
-        if e == n:
-            trailing = Slot(e, e, SlotKind.UNDETERMINED, None, False)
-            break
+    e = next((pos for pos in range(1, n + 1) if (bits >> (pos - 1)) & 1), 0)  # the first head
+    while 0 < e < n:
         a_type = (bits >> e) & 1 == 1  # the flip after the head picks the form
         # window score from the head at e; first return to zero closes B or tau
         s = 0
@@ -449,7 +434,7 @@ def _decompose_reference(seq: FlipSequence) -> Decomposition:
             continue
         slots.append(Slot(e, n, SlotKind.A, tau_end, False))
         break
-    return Decomposition(seq, first_head, tuple(slots), trailing)
+    return Decomposition(seq, tuple(slots))
 
 
 def _check_parser_equivalence() -> tuple[bool, str]:
@@ -461,6 +446,9 @@ def _check_parser_equivalence() -> tuple[bool, str]:
             alone = decompose(seq)
             if not parse == alone == _decompose_reference(seq):
                 return False, f"parsers disagree at {seq}"
+            # the parse ends on a renewal head exactly when flip n is a head at 0
+            if (parse.trailing is not None) != (seq.is_head(seq.length) and score(seq) == 0):
+                return False, f"wrong trailing head at {seq}"
     return True, (
         f"decompose equals the flip-by-flip reference, exhaustive to length 12 "
         f"plus {trials} random sequences"

@@ -18,6 +18,9 @@ from pathlib import Path
 
 import pytest
 
+from coinduel.rational import dp_distribution
+from coinduel.renewal import count_rx, pi, renewal_diff
+
 GOLDENS = Path(__file__).parent / "goldens"
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -88,6 +91,13 @@ class TestSemantics:
             for m in ("renewal", "dp", "enum")
         }
         assert len(set(outs.values())) == 1
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_diff_methods_agree_below_three(self, n):
+        # the convolution is empty there, and so is the win gap
+        for method in ("renewal", "dp", "enum"):
+            doc = json.loads(run_cli("diff", "--n", str(n), "--method", method).stdout)
+            assert doc["diff"] == "0/1", method
 
     def test_mc_counts_partition(self):
         doc = json.loads(golden("mc_n3_t1000_s7.json"))
@@ -335,9 +345,10 @@ class TestExitCodes:
         mc = ("mc", "--n", "3", "--trials", "10", "--seed", "1")
         assert run_cli(*mc, "--batch-size", "10", check=False).returncode == 2
 
-    def test_diff_below_three_is_one(self):
-        proc = run_cli("diff", "--n", "2", "--method", "renewal", check=False)
+    def test_diff_below_one_is_one(self):
+        proc = run_cli("diff", "--n", "0", "--method", "renewal", check=False)
         assert proc.returncode == 1
+        assert proc.stderr == "error: n must be >= 1\n"
 
     def test_enum_cap_is_one(self):
         assert run_cli("exact", "--n", "31", check=False).returncode == 1
@@ -474,6 +485,62 @@ PINNED_DETAILS = {
         "scaling identities hold (deficit sum within one ulp of tie)"
     ),
 }
+
+
+class TestExactOutputLength:
+    """An exact answer is written whole, however many digits it has; Python
+    limits the digits of an int read or written as text to 4300."""
+
+    @pytest.mark.parametrize(
+        "args,field,expected",
+        [
+            # p's denominator is 10^150, and the law's is its 30th power
+            (["dp", "--n", "30", "--p", "1e-150"], "pA",
+             lambda: dp_distribution(30, Fraction("1e-150")).pA),
+            (["diff", "--n", "14400"], "diff", lambda: renewal_diff(14400)),
+        ],
+    )
+    def test_answer_of_any_length(self, args, field, expected, capsys):
+        from coinduel.cli import dispatch
+
+        limit = sys.get_int_max_str_digits()
+        assert dispatch(args) == 0
+        assert sys.get_int_max_str_digits() == limit
+        out = capsys.readouterr().out
+        # reading the answer back needs the limit lifted too
+        sys.set_int_max_str_digits(0)
+        try:
+            value = Fraction(json.loads(out)[field])
+            assert len(str(value.denominator)) > limit
+            assert value == expected()
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_csv_answer_of_any_length(self, capsys):
+        from coinduel.cli import dispatch
+
+        limit = sys.get_int_max_str_digits()
+        args = ["renewal", "--m-from", "14400", "--m-to", "14400", "--format", "csv"]
+        assert dispatch(args) == 0
+        assert sys.get_int_max_str_digits() == limit
+        header, row = capsys.readouterr().out.splitlines()
+        assert header == "m,count_rx,pi_exact,pi_float"
+        sys.set_int_max_str_digits(0)
+        try:
+            m, count, pi_exact, _ = row.split(",")
+            assert (int(m), int(count), Fraction(pi_exact)) == (14400, count_rx(14400), pi(14400))
+            assert len(count) > limit
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_p_keeps_the_limit(self, capsys):
+        from coinduel.cli import dispatch
+
+        limit = sys.get_int_max_str_digits()
+        assert dispatch(["dp", "--n", "3", "--p", "1" + "0" * 5000]) == 1
+        assert sys.get_int_max_str_digits() == limit
+        out, err = capsys.readouterr()
+        assert out == "" and "4300" in err
 
 
 class TestVerifySubcommand:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from coinduel import (
     EXCURSION_ENUM_CAP,
+    Decomposition,
     ExcursionKind,
     FlipSequence,
     PositionClass,
@@ -237,8 +239,12 @@ class TestDecompose:
 
     def test_parse_stores_each_fact_once(self):
         # a slot is one window-table row; the parse holds its sequence once
-        # and reads length and initial tailrun off it
+        # and its windows, and reads every other part off them
         assert Slot._fields == ("start_index", "end_index", "kind", "tau_end", "complete")
+        assert [f.name for f in dataclasses.fields(Decomposition)] == ["sequence", "slots"]
+        assert excursions._Windows._fields == (
+            "row", "start", "end", "is_a", "tau_end", "complete"
+        )
         seq = parse_sequence("HTTHHHTT" * 8)
         assert str(seq) not in repr(decompose(seq))
         for text, tailrun in (("TTTT", 4), ("TTTH", 3), ("TTHTHH", 2)):
@@ -263,6 +269,17 @@ class TestDecompose:
                     assert d.trailing.start_index == cursor == n
                 else:
                     assert cursor == n
+
+    def test_derived_parts_read_off_the_flips(self):
+        # the first head is the sequence's lowest, and the parse ends on a
+        # trailing head exactly when flip n is a head at score 0
+        for n in range(1, 13):
+            seqs = [FlipSequence(bits, n) for bits in range(1 << n)]
+            for seq, d in zip(seqs, decompose_many(seqs)):
+                heads = [pos for pos in range(1, n + 1) if seq.is_head(pos)]
+                assert d.first_head_pos == (heads[0] if heads else None), seq
+                at_zero = seq.is_head(n) and score_series(seq)[-1] == 0
+                assert (d.trailing is not None) == at_zero, seq
 
     @given(texts)
     def test_round_trip(self, text):

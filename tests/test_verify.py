@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import itertools
 import tracemalloc
 from pathlib import Path
@@ -200,19 +199,16 @@ def _slot(start, end, kind, tau_end, complete):
     return Slot(start, end, SlotKind(kind), tau_end, complete)
 
 
-def _parse(text, slots, trailing, length=None):
+def _parse(text, slots, length=None):
     """A parse of text with the given windows, as (start, end, kind, tau_end,
     complete); with a length, of text padded with tails to that length."""
     seq = parse_sequence(text)
-    return seq, Decomposition(
-        sequence=FlipSequence(seq.bits, length or seq.length),
-        first_head_pos=text.find("H") + 1,
-        slots=tuple(_slot(*s) for s in slots),
-        trailing=_slot(seq.length, seq.length, "Undetermined", None, False) if trailing else None,
+    return Decomposition(
+        FlipSequence(seq.bits, length or seq.length), tuple(_slot(*s) for s in slots)
     )
 
 
-def _table(text, slots, first_head_pos=None):
+def _table(slots):
     """The window table of one row of the same parse as _parse."""
     start, end, kind, tau, complete = zip(*slots)
     return excursions._Windows(
@@ -222,7 +218,6 @@ def _table(text, slots, first_head_pos=None):
         is_a=np.array(kind) == "A",
         tau_end=np.array([-1 if t is None else t for t in tau]),
         complete=np.array(complete),
-        first=np.array([first_head_pos or text.find("H") + 1]),
     )
 
 
@@ -232,128 +227,115 @@ def _as_reference(seq, decomp):
 
 
 # a window table has no field for these: the materialiser takes the sequence,
-# and so its length, as input and builds the kinds and the trailing slot, and
-# it is held to the flip-by-flip parse (parser-paths-agree, tests/test_excursions.py)
-_OBJECT_RULES = {"wrong length", "a window is neither A nor B", "wrong trailing head"}
+# and so its length, as input and builds the kinds, and it is held to the
+# flip-by-flip parse (parser-paths-agree, tests/test_excursions.py)
+_OBJECT_RULES = {"wrong length", "a window is neither A nor B"}
 
 
 # HTHHHTTH parses as B(1, 4) and an A window (4, 8) whose A-part ends at 6
 _B_THEN_A = [(1, 4, "B", None, True), (4, 8, "A", 6, True)]
 
+# (text, windows, whether the stated parse ends on a trailing head, fields
+# of _parse, the rule it breaks).  Each case is numbered as in its id: the
+# numbers 1 and 11 were a wrong stored first head and a wrong stored
+# trailing slot, which a parse now reads off its sequence and windows
+_PARSE_FAULTS = {
+    0: ("HTHHHTTH", _B_THEN_A, True, {"length": 9}, "wrong length"),
+    # the A-part forms of two level rules: HHTHHT parses as A(1, 4) with
+    # its A-part ending at 3, then an open A(4, 6); HHHTT as one open A
+    # window whose A-part never closes
+    2: ("HHTHHT", [(1, 6, "A", 6, False)], False, {}, "a window touches its start level inside"),
+    3: ("HHHTT", [(1, 5, "A", 3, False)], False, {}, "a window does not close at its start level"),
+    4: (
+        "HTHHHTTH",
+        [(1, 4, "B", None, True), (5, 8, "A", 6, True)],
+        True,
+        {},
+        "windows do not tile from the first head",
+    ),
+    5: (
+        "HTHHHTTH",
+        [(1, 4, "B", None, True), (4, 9, "A", 6, True)],
+        True,
+        {},
+        "a window ends before it starts or after flip n",
+    ),
+    6: (
+        "HTHHHTTH",
+        [(1, 4, "B", None, True), (4, 8, "Undetermined", 6, True)],
+        True,
+        {},
+        "a window is neither A nor B",
+    ),
+    7: (
+        "HTHHHTTH",
+        [(1, 4, "B", 3, True), (4, 8, "A", 6, True)],
+        True,
+        {},
+        "misplaced tau_end",
+    ),
+    8: (
+        "HTHHHTTH",
+        [(1, 4, "B", None, True), (4, 8, "A", None, True)],
+        True,
+        {},
+        "a closed A window has no tau_end",
+    ),
+    9: (
+        "HTHHHTTH",
+        [(1, 4, "B", None, False), (4, 8, "A", 6, True)],
+        True,
+        {},
+        "an open window ends before flip n",
+    ),
+    10: ("HTHHHTTH", _B_THEN_A[:1], True, {}, "the windows stop before flip n"),
+    12: ("HT", [(1, 2, "A", None, False)], False, {}, "a window's kind is not the flip after its head"),
+    # the A window claims to close on flip 4, a tail
+    13: (
+        "HHTTHT",
+        [(1, 4, "A", 3, True), (4, 6, "A", None, False)],
+        False,
+        {},
+        "a closed window does not end on a head",
+    ),
+    # one B window over two: the score is back at 0 on flip 4
+    14: ("HTHHTHH", [(1, 7, "B", None, True)], True, {}, "a window touches its start level inside"),
+    15: (
+        "HTHH",
+        [(1, 3, "B", None, True), (3, 4, "A", None, False)],
+        False,
+        {},
+        "a window does not close at its start level",
+    ),
+    # one A window over two: its padding runs over the head on flip 4
+    16: ("HHTHHTH", [(1, 7, "A", 3, True)], True, {}, "a head inside the padding"),
+}
+
 
 @pytest.mark.parametrize(
     "text,slots,trailing,fields,reason",
-    [
-        ("HTHHHTTH", _B_THEN_A, True, {"length": 9}, "wrong length"),
-        ("HTHHHTTH", _B_THEN_A, True, {"first_head_pos": 2}, "wrong first head"),
-        # the A-part forms of two level rules: HHTHHT parses as A(1, 4) with
-        # its A-part ending at 3, then an open A(4, 6); HHHTT as one open A
-        # window whose A-part never closes
-        ("HHTHHT", [(1, 6, "A", 6, False)], False, {}, "a window touches its start level inside"),
-        ("HHHTT", [(1, 5, "A", 3, False)], False, {}, "a window does not close at its start level"),
-        (
-            "HTHHHTTH",
-            [(1, 4, "B", None, True), (5, 8, "A", 6, True)],
-            True,
-            {},
-            "windows do not tile from the first head",
-        ),
-        (
-            "HTHHHTTH",
-            [(1, 4, "B", None, True), (4, 9, "A", 6, True)],
-            True,
-            {},
-            "a window ends before it starts or after flip n",
-        ),
-        (
-            "HTHHHTTH",
-            [(1, 4, "B", None, True), (4, 8, "Undetermined", 6, True)],
-            True,
-            {},
-            "a window is neither A nor B",
-        ),
-        (
-            "HTHHHTTH",
-            [(1, 4, "B", 3, True), (4, 8, "A", 6, True)],
-            True,
-            {},
-            "misplaced tau_end",
-        ),
-        (
-            "HTHHHTTH",
-            [(1, 4, "B", None, True), (4, 8, "A", None, True)],
-            True,
-            {},
-            "a closed A window has no tau_end",
-        ),
-        (
-            "HTHHHTTH",
-            [(1, 4, "B", None, False), (4, 8, "A", 6, True)],
-            True,
-            {},
-            "an open window ends before flip n",
-        ),
-        ("HTHHHTTH", _B_THEN_A[:1], True, {}, "the windows stop before flip n"),
-        ("HTHHHTTH", _B_THEN_A, False, {}, "wrong trailing head"),
-        ("HT", [(1, 2, "A", None, False)], False, {}, "a window's kind is not the flip after its head"),
-        # the A window claims to close on flip 4, a tail
-        (
-            "HHTTHT",
-            [(1, 4, "A", 3, True), (4, 6, "A", None, False)],
-            False,
-            {},
-            "a closed window does not end on a head",
-        ),
-        # one B window over two: the score is back at 0 on flip 4
-        ("HTHHTHH", [(1, 7, "B", None, True)], True, {}, "a window touches its start level inside"),
-        (
-            "HTHH",
-            [(1, 3, "B", None, True), (3, 4, "A", None, False)],
-            False,
-            {},
-            "a window does not close at its start level",
-        ),
-        # one A window over two: its padding runs over the head on flip 4
-        ("HHTHHTH", [(1, 7, "A", 3, True)], True, {}, "a head inside the padding"),
-    ],
+    list(_PARSE_FAULTS.values()),
+    ids=[f"{c[0]}-slots{k}-{c[2]}-fields{k}-{c[4]}" for k, c in _PARSE_FAULTS.items()],
 )
 def test_parse_fault_names_each_broken_rule(text, slots, trailing, fields, reason):
     seq = parse_sequence(text)
+    wrong = _parse(text, slots, **fields)
+    assert (wrong.trailing is not None) == trailing
     if reason in _OBJECT_RULES:
         assert _as_reference(seq, decompose(seq))
-        assert not _as_reference(seq, _parse(text, slots, trailing, **fields)[1])
+        assert not _as_reference(seq, wrong)
         return
     flips = np.array([[c == "H" for c in text]], dtype=np.uint8)
     levels = verify._levels(flips)
     assert verify._parse_fault(excursions._window_table([seq]), flips, levels) is None
-    assert verify._parse_fault(_table(text, slots, **fields), flips, levels) == (0, reason)
-
-
-@pytest.mark.parametrize(
-    "wrong",
-    [
-        # a trailing slot that is not flip n alone, open and of no kind yet
-        lambda d: dataclasses.replace(d, trailing=d.trailing._replace(kind=SlotKind.B)),
-        lambda d: dataclasses.replace(d, trailing=d.trailing._replace(start_index=1)),
-    ],
-)
-def test_materialiser_oracle_rejects_a_wrong_object(wrong):
-    seq = parse_sequence("HTHHHTTH")
-    right = decompose(seq)
-    assert _as_reference(seq, right)
-    assert not _as_reference(seq, wrong(right))
+    assert verify._parse_fault(_table(slots), flips, levels) == (0, reason)
 
 
 def test_parser_paths_agree_rejects_a_dropped_trailing_head(monkeypatch):
-    # the window table has no trailing column: the materialiser derives the
-    # slot, and parser-paths-agree holds it to the flip-by-flip parse
-    real = excursions._materialise
-
-    def dropped(seqs, table):
-        return [dataclasses.replace(d, trailing=None) for d in real(seqs, table)]
-
-    monkeypatch.setattr(excursions, "_materialise", dropped)
-    assert verify._check_parser_equivalence() == (False, "parsers disagree at H")
+    # every parser reads the trailing slot off its windows alike, so the
+    # check holds it to flip n and the final score, which no parser reads
+    monkeypatch.setattr(Decomposition, "trailing", property(lambda self: None))
+    assert verify._check_parser_equivalence() == (False, "wrong trailing head at H")
 
 
 def test_window_table_rejects_rows_out_of_order():
