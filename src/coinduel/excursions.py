@@ -152,33 +152,28 @@ class Decomposition:
         }
 
 
-# fixed first/last pair (bit0 = earlier flip) of each excursion family
-_ENDS = {
-    ExcursionKind.B: (0b01, 0b11),
-    ExcursionKind.A: (0b11, 0b01),
-    ExcursionKind.A_HAT: (0b11, 0b10),
-}
-
-
-def classify_excursion(seq: FlipSequence) -> ExcursionKind:
-    """Which excursion family seq belongs to, or NONE.
+def _excursion_kind(parse: Decomposition) -> ExcursionKind:
+    """Which excursion family the parsed sequence belongs to, or NONE.
 
     An excursion is a parse that starts on flip 1 and is one window: a
     closed B window, a closed A window (A-part, tail padding, closing head:
     an A-hat), or an open A window whose A-part ends on flip n.
     """
-    n = seq.length
-    if n < 2:
-        raise ValueError("an excursion candidate needs at least 2 flips")
-    d = decompose(seq)
-    if d.first_head_pos != 1 or len(d.slots) != 1:
+    if parse.first_head_pos != 1 or len(parse.slots) != 1:
         return ExcursionKind.NONE
-    (w,) = d.slots
+    (w,) = parse.slots
     if w.complete:
         return ExcursionKind.B if w.kind is SlotKind.B else ExcursionKind.A_HAT
-    if w.kind is SlotKind.A and w.tau_end == n:
+    if w.kind is SlotKind.A and w.tau_end == parse.length:
         return ExcursionKind.A
     return ExcursionKind.NONE
+
+
+def classify_excursion(seq: FlipSequence) -> ExcursionKind:
+    """Which excursion family seq belongs to, or NONE (see _excursion_kind)."""
+    if seq.length < 2:
+        raise ValueError("an excursion candidate needs at least 2 flips")
+    return _excursion_kind(decompose(seq))
 
 
 def enumerate_excursions(k: int, kind: ExcursionKind | str) -> set[FlipSequence]:
@@ -190,17 +185,14 @@ def enumerate_excursions(k: int, kind: ExcursionKind | str) -> set[FlipSequence]
         raise ValueError("excursions have length >= 2")
     if k > EXCURSION_ENUM_CAP:
         raise ValueError(f"enumeration is capped at length {EXCURSION_ENUM_CAP}")
-    first, last = _ENDS[kind]
-    top = np.uint64(k - 2)
+    # every excursion ends at total score 0 (an A-hat adds only TT and TH), and
+    # flip 2 is its window's kind: HT opens a B window, HH an A one (bit 0 = flip 1)
+    opening = np.uint64(0b01 if kind is ExcursionKind.B else 0b11)
     found: set[FlipSequence] = set()
-    # every excursion ends at total score 0 (an A-hat adds only TT and TH)
     for bits, scores in _omega_scores(k):
-        mask = (scores == 0) & ((bits & np.uint64(3)) == first)
-        mask &= ((bits >> top) & np.uint64(3)) == last
-        for b in bits[mask].tolist():
-            seq = FlipSequence(b, k)
-            if classify_excursion(seq) is kind:
-                found.add(seq)
+        mask = (scores == 0) & ((bits & np.uint64(3)) == opening)
+        seqs = [FlipSequence(b, k) for b in bits[mask].tolist()]
+        found.update(d.sequence for d in decompose_many(seqs) if _excursion_kind(d) is kind)
     return found
 
 

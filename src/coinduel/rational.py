@@ -75,7 +75,11 @@ def _as_float_probability(p) -> float:
 
 
 def _dp_probability(n: int, p) -> Fraction:
-    """p as a Fraction, once the DP to step n at p fits DP_EXACT_MAX_BITS."""
+    """p as a Fraction, once 1 <= n <= DP_EXACT_MAX_N and n steps at p fit DP_EXACT_MAX_BITS."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > DP_EXACT_MAX_N:
+        raise ValueError(f"the exact DP is capped at n = {DP_EXACT_MAX_N}")
     p = _as_probability(p)
     bits = p.denominator.bit_length()
     if n * bits > DP_EXACT_MAX_BITS:
@@ -136,10 +140,6 @@ def _dp_scan(n: int, p: Fraction) -> Iterator[tuple[int, int, int, int]]:
 
 def dp_distribution(n: int, p=Fraction(1, 2)) -> ExactDistribution:
     """Distribution of the final-score sign after n flips, by exact forward DP."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > DP_EXACT_MAX_N:
-        raise ValueError(f"the exact DP is capped at n = {DP_EXACT_MAX_N}")
     p = _dp_probability(n, p)
     for _, below, equal, above in _dp_scan(n, p):
         pass
@@ -151,8 +151,6 @@ def dp_distribution(n: int, p=Fraction(1, 2)) -> ExactDistribution:
 
 def dp_series(n_max: int, p=Fraction(1, 2)) -> list[ExactDistribution]:
     """ExactDistribution for every n = 1..n_max from a single forward pass."""
-    if not 1 <= n_max <= DP_EXACT_MAX_N:
-        raise ValueError(f"need 1 <= n_max <= {DP_EXACT_MAX_N}")
     p = _dp_probability(n_max, p)
     den = p.denominator
     denom = 1

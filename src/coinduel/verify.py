@@ -126,9 +126,7 @@ def _check_reversal_score_h_to_h() -> tuple[bool, str]:
     checked = 0
     for n in range(1, 17):
         top = 1 << (n - 1)
-        for b in range(1 << n):
-            if not (b & 1 and b & top):
-                continue  # only sequences that begin and end with H
+        for b in range(top | 1, top << 1, 2):  # flips 1 and n are heads
             seq = FlipSequence(b, n)
             if score(reverse(seq)) != score(seq):
                 return False, f"score changed under reversal at {seq}"

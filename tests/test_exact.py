@@ -198,6 +198,14 @@ class TestDPExact:
             with pytest.raises(ValueError, match="got n = 700 and 54 bits, 37800"):
                 call(700, 0.6)
 
+    def test_one_input_check(self):
+        # both entries take the range of n from _dp_probability, before p
+        for call in (_dp_probability, dp_distribution, dp_series):
+            with pytest.raises(ValueError, match="^n must be >= 1$"):
+                call(0, 2)
+            with pytest.raises(ValueError, match="^the exact DP is capped at n = 4096$"):
+                call(DP_EXACT_MAX_N + 1, 2)
+
 
 class TestDPFloat:
     def test_matches_exact_small(self):

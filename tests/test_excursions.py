@@ -151,6 +151,32 @@ class TestEnumerate:
                 }
                 assert enumerate_excursions(k, kind) == expected
 
+    def test_across_scan_chunks(self, monkeypatch):
+        # Omega_19 and Omega_20 span 2 and 4 scan chunks of 2^18, and each
+        # chunk's candidates are parsed in one block
+        blocks = []
+        parse_block = excursions.decompose_many
+        monkeypatch.setattr(
+            excursions, "decompose_many", lambda seqs: blocks.append(1) or parse_block(seqs)
+        )
+        for k, chunks, b_count, a_count in ((19, 2, 1076, 903), (20, 4, 1979, 1664)):
+            blocks.clear()
+            b_set = enumerate_excursions(k, ExcursionKind.B)
+            assert len(blocks) == chunks
+            assert len(b_set) == b_count
+            assert {reverse(w) for w in b_set} == enumerate_excursions(k, ExcursionKind.A_HAT)
+            assert len(enumerate_excursions(k, ExcursionKind.A)) == a_count
+
+    def test_memory_one_chunk_at_a_time(self):
+        # only one scan chunk's candidates and parses are held at a time
+        tracemalloc.start()
+        try:
+            enumerate_excursions(20, ExcursionKind.B)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
+
     def test_cap(self):
         with pytest.raises(ValueError):
             enumerate_excursions(EXCURSION_ENUM_CAP + 1, "B")
